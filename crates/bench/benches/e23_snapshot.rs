@@ -17,10 +17,21 @@
 //!
 //! A derived line prints the admission cost and the reads-vs-writes
 //! interference ratio for the README table.
+//!
+//! A tripwire pins the copy-on-write bill in bytes, counted with
+//! [`cypher_bench::CountingAlloc`]: clone + `set_node_prop`, and clone +
+//! `add_node` (one label, one unique key, one 10-valued key) + `add_rel`,
+//! at 10k and at 100k nodes. The 100k figure must stay within 2× the 10k
+//! figure and under 128 KiB — a write after a clone copies bounded paths
+//! of the persistent indexes and slot tables, never a structure that
+//! grows with the graph.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use cypher::{Database, Params, PropertyGraph, Value, VersionedGraph};
+use cypher::{Database, NodeId, Params, PropertyGraph, Value, VersionedGraph};
 use std::time::Instant;
+
+#[global_allocator]
+static ALLOC: cypher_bench::CountingAlloc = cypher_bench::CountingAlloc;
 
 fn build_graph(nodes: usize) -> PropertyGraph {
     let mut g = PropertyGraph::new();
@@ -43,9 +54,88 @@ fn build_graph(nodes: usize) -> PropertyGraph {
     g
 }
 
+/// `n` accounts with a unique `serial`, a 10-valued `tier` and a
+/// `NEXT` chain.
+fn build_indexed(n: usize) -> PropertyGraph {
+    let mut g = PropertyGraph::new();
+    let mut prev = None;
+    for i in 0..n as i64 {
+        let node = g.add_node(
+            &["Account"],
+            [("serial", Value::int(i)), ("tier", Value::int(i % 10))],
+        );
+        if let Some(p) = prev {
+            g.add_rel(p, node, "NEXT", []).unwrap();
+        }
+        prev = Some(node);
+    }
+    g
+}
+
+/// Median bytes allocated by (clone + point `SET`, clone + `CREATE` of
+/// one indexed node and one relationship) on `g`. The clones are dropped
+/// outside the count.
+fn cow_bytes(g: &PropertyGraph) -> (u64, u64) {
+    let serial = g.interner().get("serial").unwrap();
+    let n = g.node_count() as u64;
+    let (mut set, mut create) = (Vec::new(), Vec::new());
+    for r in 0..9u64 {
+        let node = NodeId((r * 7919 + 13) % n);
+        let (h, bytes) = cypher_bench::bytes_allocated_during(|| {
+            let mut h = g.clone();
+            h.set_node_prop(node, serial, Value::int(-1 - r as i64))
+                .unwrap();
+            h
+        });
+        drop(h);
+        set.push(bytes);
+        let (h, bytes) = cypher_bench::bytes_allocated_during(|| {
+            let mut h = g.clone();
+            let fresh = h.add_node(
+                &["Account"],
+                [
+                    ("serial", Value::int((n + r) as i64)),
+                    ("tier", Value::int((r % 10) as i64)),
+                ],
+            );
+            h.add_rel(fresh, node, "NEXT", []).unwrap();
+            h
+        });
+        drop(h);
+        create.push(bytes);
+    }
+    set.sort_unstable();
+    create.sort_unstable();
+    (set[4], create[4])
+}
+
 fn bench(c: &mut Criterion) {
     let mut report = cypher_bench::BenchReport::new("e23");
     let mut group = c.benchmark_group("e23_snapshot");
+
+    // --- copy-on-write bytes: flat in graph size --------------------------
+    {
+        let (small_set, small_create) = cow_bytes(&build_indexed(10_000));
+        let (big_set, big_create) = cow_bytes(&build_indexed(100_000));
+        eprintln!(
+            "e23: copy-on-write bytes — SET {small_set} B at 10k vs {big_set} B at 100k; \
+             CREATE+rel {small_create} B at 10k vs {big_create} B at 100k"
+        );
+        for (what, small, big) in [
+            ("SET", small_set, big_set),
+            ("CREATE+rel", small_create, big_create),
+        ] {
+            assert!(
+                big <= 2 * small && big <= 128 << 10,
+                "{what} after a clone copies {big} B at 100k nodes vs {small} B at \
+                 10k: the copy bill grows with the graph"
+            );
+        }
+        report.metric("cow_set_bytes_10k", small_set as f64);
+        report.metric("cow_set_bytes_100k", big_set as f64);
+        report.metric("cow_create_bytes_10k", small_create as f64);
+        report.metric("cow_create_bytes_100k", big_create as f64);
+    }
 
     // --- reader admission -------------------------------------------------
     let vg = VersionedGraph::new(build_graph(100_000), 0);

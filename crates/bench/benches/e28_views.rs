@@ -19,6 +19,10 @@
 //!   the `cypher_view_refresh_us` histogram the maintenance hook feeds)
 //!   must stay flat as the base grows 4×: the fold is anchored on the
 //!   changed entities, never the base table;
+//! * **O(changed groups) publication** — the same view grouped 4096 ways
+//!   (`g: i % 4096`) must refresh within 2× the 64-group cost + 50 µs:
+//!   a publication re-finishes only the groups a commit touched and
+//!   shares every other group's row with the previous publication;
 //! * **exactness** — after the whole churn run, the maintained table is
 //!   bag-equal to cold re-evaluation (the differential harness checks
 //!   this exhaustively; here it guards the numbers being measured).
@@ -43,8 +47,9 @@ fn rows() -> usize {
         .unwrap_or(100_000)
 }
 
-/// An in-memory database seeded with `n` items and the hot view.
-fn open_db(n: usize) -> Database {
+/// An in-memory database seeded with `n` items spread over `groups`
+/// values of `g`, and the hot view.
+fn open_db(n: usize, groups: usize) -> Database {
     let mut cfg = EngineConfig::default();
     cfg.persistence = None;
     cfg.metrics_enabled = true;
@@ -58,7 +63,7 @@ fn open_db(n: usize) -> Database {
             .query(
                 &format!(
                     "UNWIND range({k}, {}) AS i \
-                     CREATE (:Item {{u: i, g: i % 64, x: i}})",
+                     CREATE (:Item {{u: i, g: i % {groups}, x: i}})",
                     k + batch - 1
                 ),
                 &params,
@@ -116,7 +121,7 @@ fn time_once(mut f: impl FnMut()) -> f64 {
 
 fn bench(c: &mut Criterion) {
     let n = rows();
-    let db = open_db(n);
+    let db = open_db(n, 64);
     let params = Params::new();
     let mut report = cypher_bench::BenchReport::new("e28");
 
@@ -158,7 +163,7 @@ fn bench(c: &mut Criterion) {
     // per commit; generous headroom (3× + 50 µs) absorbs container noise
     // while still tripping on any O(base) term.
     let small_n = n / 4;
-    let small_db = open_db(small_n);
+    let small_db = open_db(small_n, 64);
     let small_fold_us = churn(&small_db, 200, 0x5EED, small_n);
     let big_fold_us = churn(&db, 200, 0xF00D, n);
     println!(
@@ -171,12 +176,36 @@ fn bench(c: &mut Criterion) {
          {small_n} rows vs {big_fold_us:.1} µs at {n} rows)"
     );
 
+    drop(small_db);
+
+    // --- publication cost is O(changed groups), not O(groups) -----------
+    let wide_db = open_db(n, 4096);
+    let wide_fold_us = churn(&wide_db, 200, 0xF00D, n);
+    println!(
+        "e28: avg refresh — 64 groups: {big_fold_us:.1} µs, 4096 groups: {wide_fold_us:.1} µs"
+    );
+    assert!(
+        wide_fold_us <= big_fold_us * 2.0 + 50.0,
+        "view refresh cost scales with the group count ({big_fold_us:.1} µs at 64 \
+         groups vs {wide_fold_us:.1} µs at 4096)"
+    );
+    let mut wide_session = wide_db.session();
+    let maintained = wide_session.view("hot").unwrap();
+    let cold = wide_session.query(HOT, &params).unwrap();
+    assert!(
+        maintained.bag_eq(&cold),
+        "the 4096-group view drifted from cold re-evaluation"
+    );
+    drop(wide_session);
+    drop(wide_db);
+
     report.metric("rows", n as f64);
     report.metric("maintained_read_us", t_view * 1e6);
     report.metric("cold_query_us", t_cold * 1e6);
     report.metric("read_speedup", speedup);
     report.metric("fold_us_small_base", small_fold_us);
     report.metric("fold_us_full_base", big_fold_us);
+    report.metric("fold_us_4096_groups", wide_fold_us);
     report.emit();
 
     // --- criterion series -----------------------------------------------

@@ -17,11 +17,13 @@ pub fn us(d: std::time::Duration) -> f64 {
 }
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
 fn on_alloc(bytes: usize) {
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    ALLOCATED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
     let live = LIVE_BYTES.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
     // Racy max is fine: the peak is a diagnostic watermark, and the CAS
     // loop converges under contention.
@@ -98,6 +100,16 @@ pub fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = allocation_count();
     let out = f();
     (out, allocation_count() - before)
+}
+
+/// Runs `f` and returns its result together with the total bytes it
+/// allocated (reallocations count their new size) — the copy bill of a
+/// copy-on-write operation, whatever it later frees. Observes every
+/// thread, like the other counters.
+pub fn bytes_allocated_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+    let out = f();
+    (out, ALLOCATED_BYTES.load(Ordering::Relaxed) - before)
 }
 
 /// Runs `f` and returns its result together with the **peak growth of

@@ -242,9 +242,12 @@ pub fn apply_projection(
         out = t;
     } else {
         out = Table::empty(plan.out_schema().clone());
+        let keep_sources = !ret.order_by.is_empty();
         for u in table.rows() {
             out.push(plan.project_row(ctx, &schema, u)?);
-            sources.push(u.clone());
+            if keep_sources {
+                sources.push(u.clone());
+            }
         }
     }
 

@@ -301,12 +301,12 @@ impl<'a> MatchState<'a> {
     fn start_scan(&self, chi: &NodePattern) -> Vec<NodeId> {
         let g = self.ctx.graph;
         // Pick the most selective resolvable label.
-        let mut best: Option<&[NodeId]> = None;
+        let mut best: Option<cypher_graph::Postings<'_>> = None;
         for l in &chi.labels {
             match g.interner().get(l) {
                 Some(sym) => {
                     let list = g.nodes_with_label(sym);
-                    if best.map(|b| list.len() < b.len()).unwrap_or(true) {
+                    if best.as_ref().is_none_or(|b| list.len() < b.len()) {
                         best = Some(list);
                     }
                 }
@@ -315,7 +315,7 @@ impl<'a> MatchState<'a> {
             }
         }
         match best {
-            Some(list) => list.to_vec(),
+            Some(list) => list.collect(),
             None => g.nodes().collect(),
         }
     }

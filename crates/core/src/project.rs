@@ -280,6 +280,14 @@ impl ProjectionPlan {
             .collect()
     }
 
+    /// One fresh aggregator per aggregate call, in call order.
+    fn fresh_aggregators(&self) -> Vec<Aggregator> {
+        self.specs
+            .iter()
+            .map(|s| Aggregator::new(s.kind, s.distinct))
+            .collect()
+    }
+
     /// True when every aggregate call in the plan supports exact
     /// retraction ([`AggKind::is_retractable`]) — a necessary condition
     /// for delta-maintaining a view of this projection.
@@ -330,10 +338,77 @@ struct Group {
     repr: Option<Record>,
     /// Rows currently folded in. A group retracted down to zero becomes a
     /// tombstone: it keeps its slot (bucket entries index into `groups`)
-    /// but is invisible to lookup and finalization, and a re-fed key takes
-    /// a fresh slot at the end — so full retraction is order-transparent,
-    /// exactly like [`crate::aggregate::DistinctSet`] slots.
+    /// and is invisible to finalization; when its key is fed again the
+    /// slot reopens with fresh aggregators and a fresh representative, so
+    /// every key owns at most one slot however often it empties.
     live: u64,
+    /// Fed, retracted or merged into since the last publish.
+    dirty: bool,
+}
+
+/// Group output rows per [`GroupRows`] chunk.
+const ROW_CHUNK: usize = 64;
+
+/// The output rows of a [`GroupedAggState`] as of one
+/// [`GroupedAggState::publish`]: one slot per group, in group order,
+/// empty for groups that were not visible. Persistent — chunks of row
+/// pointers are `Arc`-shared, so a publish copies only the chunks holding
+/// changed groups and consecutive publications share every other row.
+#[derive(Debug, Clone, Default)]
+pub struct GroupRows {
+    chunks: Vec<Arc<Vec<Option<Arc<Record>>>>>,
+    /// Occupied slots.
+    len: usize,
+}
+
+impl GroupRows {
+    fn get(&self, gi: usize) -> Option<&Record> {
+        self.chunks.get(gi / ROW_CHUNK)?[gi % ROW_CHUNK].as_deref()
+    }
+
+    fn set(&mut self, gi: usize, row: Option<Record>) {
+        while self.chunks.len() <= gi / ROW_CHUNK {
+            self.chunks.push(Arc::new(vec![None; ROW_CHUNK]));
+        }
+        let slot = &mut Arc::make_mut(&mut self.chunks[gi / ROW_CHUNK])[gi % ROW_CHUNK];
+        self.len = self.len + row.is_some() as usize - slot.is_some() as usize;
+        *slot = row.map(Arc::new);
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The rows in group order.
+    pub fn iter(&self) -> impl Iterator<Item = &Record> {
+        self.chunks
+            .iter()
+            .flat_map(|c| c.iter().filter_map(|r| r.as_deref()))
+    }
+
+    /// Copies the rows into a table (in group order).
+    pub fn to_table(&self, schema: Arc<Schema>) -> Table {
+        Table::new(schema, self.iter().cloned().collect())
+    }
+}
+
+/// One [`GroupedAggState::publish`]: the output rows plus the rows that
+/// changed since the previous publish (with multiplicity; a group whose
+/// row changed contributes its old row to `removed` and its new one to
+/// `added`).
+pub struct Published {
+    /// Every visible group's output row.
+    pub rows: GroupRows,
+    /// Rows present now but not at the previous publish.
+    pub added: Vec<Record>,
+    /// Rows present at the previous publish but not now.
+    pub removed: Vec<Record>,
 }
 
 use cypher_graph::Value;
@@ -352,6 +427,10 @@ pub struct GroupedAggState {
     /// Keep per-group representative source rows (needed only when an
     /// `ORDER BY` may reference the pre-projection scope).
     keep_repr: bool,
+    /// Indices of the groups marked `dirty`, in marking order.
+    dirty: Vec<usize>,
+    /// Output rows as of the last publish.
+    rows: GroupRows,
 }
 
 impl GroupedAggState {
@@ -364,10 +443,12 @@ impl GroupedAggState {
             groups: Vec::new(),
             buckets: HashMap::new(),
             keep_repr,
+            dirty: Vec::new(),
+            rows: GroupRows::default(),
         }
     }
 
-    /// Number of groups so far.
+    /// Number of group slots, live and tombstoned.
     pub fn group_count(&self) -> usize {
         self.groups.len()
     }
@@ -380,15 +461,26 @@ impl GroupedAggState {
         hasher.finish()
     }
 
-    /// Index of the **live** group for `key`, if any.
-    fn find_live(&self, key: &[Value]) -> Option<usize> {
-        let h = Self::key_hash(key);
+    /// Index of the group slot for `key` (live or tombstoned), if any.
+    fn find(&self, h: u64, key: &[Value]) -> Option<usize> {
         self.buckets.get(&h)?.iter().copied().find(|&gi| {
             let g = &self.groups[gi];
-            g.live > 0
-                && g.key.len() == key.len()
-                && g.key.iter().zip(key).all(|(a, b)| a.equivalent(b))
+            g.key.len() == key.len() && g.key.iter().zip(key).all(|(a, b)| a.equivalent(b))
         })
+    }
+
+    /// Index of the **live** group for `key`, if any.
+    fn find_live(&self, key: &[Value]) -> Option<usize> {
+        self.find(Self::key_hash(key), key)
+            .filter(|&gi| self.groups[gi].live > 0)
+    }
+
+    fn mark_dirty(&mut self, gi: usize) {
+        let g = &mut self.groups[gi];
+        if !g.dirty {
+            g.dirty = true;
+            self.dirty.push(gi);
+        }
     }
 
     fn group_index(
@@ -397,20 +489,22 @@ impl GroupedAggState {
         plan: &ProjectionPlan,
         repr: Option<Record>,
     ) -> usize {
-        if let Some(gi) = self.find_live(&key) {
+        let h = Self::key_hash(&key);
+        if let Some(gi) = self.find(h, &key) {
+            let g = &mut self.groups[gi];
+            if g.live == 0 {
+                // Reopen the key's tombstone as if it were a new group.
+                g.aggs = plan.fresh_aggregators();
+                g.repr = repr;
+            }
             return gi;
         }
-        let h = Self::key_hash(&key);
-        let aggs = plan
-            .specs
-            .iter()
-            .map(|s| Aggregator::new(s.kind, s.distinct))
-            .collect();
         self.groups.push(Group {
             key,
-            aggs,
+            aggs: plan.fresh_aggregators(),
             repr,
             live: 0,
+            dirty: false,
         });
         self.buckets
             .entry(h)
@@ -439,6 +533,7 @@ impl GroupedAggState {
             None
         };
         let gi = self.group_index(key, plan, repr);
+        self.mark_dirty(gi);
         let group = &mut self.groups[gi];
         group.live += 1;
         for (agg, spec) in group.aggs.iter_mut().zip(&plan.specs) {
@@ -481,6 +576,7 @@ impl GroupedAggState {
         let Some(gi) = self.find_live(&key) else {
             return Ok(false);
         };
+        self.mark_dirty(gi);
         let group = &mut self.groups[gi];
         for (agg, spec) in group.aggs.iter_mut().zip(&plan.specs) {
             let v = match &spec.arg {
@@ -504,6 +600,7 @@ impl GroupedAggState {
                 continue;
             }
             let gi = self.group_index(g.key, plan, g.repr);
+            self.mark_dirty(gi);
             let group = &mut self.groups[gi];
             group.live += g.live;
             if group.aggs.is_empty() {
@@ -514,6 +611,56 @@ impl GroupedAggState {
                 }
             }
         }
+    }
+
+    /// True when the plan aggregates without grouping keys: its output is
+    /// always exactly one row, even over no rows (`RETURN count(*)` on
+    /// nothing is 0).
+    fn keyless(plan: &ProjectionPlan) -> bool {
+        plan.any_agg && plan.items.iter().all(|p| p.aggregated)
+    }
+
+    /// Finishes one group into its output row. `repr`, when given, must
+    /// match `src_schema`.
+    fn finish_row(
+        ctx: &EvalContext<'_>,
+        plan: &ProjectionPlan,
+        src_schema: &Schema,
+        key: Vec<Value>,
+        aggs: Vec<Aggregator>,
+        repr: Option<&Record>,
+    ) -> Result<Record, EvalError> {
+        if !plan.any_agg {
+            // Key-only (DISTINCT) state: the key *is* the output row.
+            return Ok(Record::new(key));
+        }
+        // Placeholder params carry this group's aggregate results.
+        let mut params = ctx.params.clone();
+        for (agg, spec) in aggs.into_iter().zip(&plan.specs) {
+            params.insert(spec.placeholder.clone(), agg.finish()?);
+        }
+        let group_ctx = EvalContext {
+            graph: ctx.graph,
+            params: &params,
+            config: ctx.config,
+        };
+        let mut row = Record::empty();
+        let mut key_iter = key.into_iter();
+        for p in &plan.items {
+            if p.aggregated {
+                // Non-key parts of an aggregated item are evaluated on
+                // the group's representative row (the fabricated empty
+                // group of an all-aggregate projection has none).
+                let v = match repr {
+                    Some(r) => eval_expr(&group_ctx, &Bindings::new(src_schema, r), &p.expr)?,
+                    None => eval_expr(&group_ctx, &NoVars, &p.expr)?,
+                };
+                row.push(v);
+            } else {
+                row.push(key_iter.next().expect("key arity"));
+            }
+        }
+        Ok(row)
     }
 
     /// Finishes every group into an output row. Returns the projected
@@ -528,19 +675,13 @@ impl GroupedAggState {
         plan: &ProjectionPlan,
         src_schema: &Schema,
     ) -> Result<(Table, Vec<Record>), EvalError> {
-        let has_keys = plan.items.iter().any(|p| !p.aggregated);
-        let any_live = self.groups.iter().any(|g| g.live > 0);
-        if !any_live && !has_keys && plan.any_agg {
-            let aggs = plan
-                .specs
-                .iter()
-                .map(|s| Aggregator::new(s.kind, s.distinct))
-                .collect();
+        if Self::keyless(plan) && !self.groups.iter().any(|g| g.live > 0) {
             self.groups.push(Group {
                 key: Vec::new(),
-                aggs,
+                aggs: plan.fresh_aggregators(),
                 repr: None,
                 live: 1,
+                dirty: false,
             });
         }
 
@@ -551,53 +692,17 @@ impl GroupedAggState {
                 // Tombstone: every row retracted since it was created.
                 continue;
             }
-            if !plan.any_agg {
-                // Key-only (DISTINCT) state: the key *is* the output row.
-                out.push(Record::new(group.key));
-                continue;
-            }
-            // Placeholder params carry this group's aggregate results.
-            let mut params = ctx.params.clone();
-            for (agg, spec) in group.aggs.into_iter().zip(&plan.specs) {
-                params.insert(spec.placeholder.clone(), agg.finish()?);
-            }
-            let group_ctx = EvalContext {
-                graph: ctx.graph,
-                params: &params,
-                config: ctx.config,
-            };
-            let mut row = Record::empty();
-            let mut key_iter = group.key.into_iter();
-            let repr_ok = group
-                .repr
-                .as_ref()
-                .is_some_and(|r| r.values().len() == src_schema.len());
-            for p in &plan.items {
-                if p.aggregated {
-                    // Non-key parts of an aggregated item are evaluated on
-                    // the group's representative row (the fabricated empty
-                    // group of an all-aggregate projection has none).
-                    let v = if repr_ok {
-                        eval_expr(
-                            &group_ctx,
-                            &Bindings::new(src_schema, group.repr.as_ref().unwrap()),
-                            &p.expr,
-                        )?
-                    } else {
-                        eval_expr(&group_ctx, &NoVars, &p.expr)?
-                    };
-                    row.push(v);
-                } else {
-                    row.push(key_iter.next().expect("key arity"));
-                }
-            }
-            out.push(row);
+            let repr = group.repr.filter(|r| r.values().len() == src_schema.len());
+            out.push(Self::finish_row(
+                ctx,
+                plan,
+                src_schema,
+                group.key,
+                group.aggs,
+                repr.as_ref(),
+            )?);
             if self.keep_repr {
-                sources.push(if repr_ok {
-                    group.repr.unwrap()
-                } else {
-                    Record::empty()
-                });
+                sources.push(repr.unwrap_or_else(Record::empty));
             }
         }
         Ok((out, sources))
@@ -605,9 +710,9 @@ impl GroupedAggState {
 
     /// Non-consuming [`GroupedAggState::finalize`]: clones the live groups
     /// and finishes the clones, leaving this state intact for further
-    /// feeds/retractions. This is the incremental-view refresh path — the
-    /// state persists across commits, the output table is rebuilt per
-    /// publication (O(live groups), independent of the base table size).
+    /// feeds/retractions. O(live groups); the maintained-view path uses
+    /// [`GroupedAggState::publish`] instead, which re-finishes only the
+    /// groups that changed.
     pub fn finalize_snapshot(
         &self,
         ctx: &EvalContext<'_>,
@@ -624,13 +729,95 @@ impl GroupedAggState {
                     aggs: g.aggs.clone(),
                     repr: g.repr.clone(),
                     live: g.live,
+                    dirty: false,
                 })
                 .collect(),
             buckets: HashMap::new(),
             keep_repr: false,
+            dirty: Vec::new(),
+            rows: GroupRows::default(),
         };
         let (out, _) = snapshot.finalize(ctx, plan, src_schema)?;
         Ok(out)
+    }
+
+    /// The incremental-view publication: re-finishes only the groups fed,
+    /// retracted or merged into since the previous publish and stores
+    /// their rows in the persistent [`GroupRows`], whose snapshot it
+    /// returns — the same rows, in the same group order, as
+    /// [`GroupedAggState::finalize`] would produce. The state stays intact
+    /// for further folding. Costs O(changed groups), plus one pointer copy
+    /// per 64 groups; the returned `added`/`removed` rows come
+    /// from the changed groups alone.
+    ///
+    /// Visible groups are the live ones, plus — for a keyless aggregation
+    /// — its single group even when empty, which then finishes from fresh
+    /// aggregators exactly like `finalize`'s fabricated group.
+    pub fn publish(
+        &mut self,
+        ctx: &EvalContext<'_>,
+        plan: &ProjectionPlan,
+        src_schema: &Schema,
+    ) -> Result<Published, EvalError> {
+        let keyless = Self::keyless(plan);
+        if keyless && self.groups.is_empty() {
+            // The keyless group's slot: a tombstone that is visible.
+            self.groups.push(Group {
+                key: Vec::new(),
+                aggs: plan.fresh_aggregators(),
+                repr: None,
+                live: 0,
+                dirty: false,
+            });
+            self.buckets.entry(Self::key_hash(&[])).or_default().push(0);
+            self.mark_dirty(0);
+        }
+        let (mut added, mut removed) = (Vec::new(), Vec::new());
+        for gi in std::mem::take(&mut self.dirty) {
+            let g = &mut self.groups[gi];
+            g.dirty = false;
+            let row = if g.live > 0 {
+                let repr = g
+                    .repr
+                    .as_ref()
+                    .filter(|r| r.values().len() == src_schema.len());
+                let aggs = g.aggs.clone();
+                Some(Self::finish_row(
+                    ctx,
+                    plan,
+                    src_schema,
+                    g.key.clone(),
+                    aggs,
+                    repr,
+                )?)
+            } else if keyless {
+                // Empty: finishes like `finalize`'s fabricated group.
+                let aggs = plan.fresh_aggregators();
+                Some(Self::finish_row(
+                    ctx,
+                    plan,
+                    src_schema,
+                    Vec::new(),
+                    aggs,
+                    None,
+                )?)
+            } else {
+                None
+            };
+            match (self.rows.get(gi), &row) {
+                (Some(old), Some(new)) if old.equivalent(new) => {}
+                (old, new) => {
+                    removed.extend(old.cloned());
+                    added.extend(new.clone());
+                }
+            }
+            self.rows.set(gi, row);
+        }
+        Ok(Published {
+            rows: self.rows.clone(),
+            added,
+            removed,
+        })
     }
 }
 
@@ -949,6 +1136,46 @@ mod tests {
                 "chunk={chunk}\nbase:\n{base}\nmerged:\n{merged}"
             );
         }
+    }
+
+    #[test]
+    fn emptied_groups_are_reopened_not_leaked() {
+        let g = PropertyGraph::new();
+        let params = Params::new();
+        let ctx = EvalContext::new(&g, &params);
+        let ret = ret_of("RETURN n AS g, count(*) AS c, sum(v) AS s");
+        let schema = Schema::new(vec!["n".into(), "v".into()]);
+        let plan = ProjectionPlan::compile(&ret, &schema).unwrap();
+        let row = |v: Value| Record::new(vec![Value::str("k"), v]);
+
+        let mut st = GroupedAggState::new(false);
+        for i in 0..10_000i64 {
+            // Alternate value kinds so a reopened group that kept stale
+            // aggregator state would finish differently.
+            let v = if i % 2 == 0 {
+                Value::int(i)
+            } else {
+                Value::float(i as f64 + 0.5)
+            };
+            st.feed(&ctx, &plan, &schema, &row(v.clone())).unwrap();
+            assert!(st.retract(&ctx, &plan, &schema, &row(v)).unwrap());
+            assert_eq!(st.group_count(), 1, "cycle {i} leaked a group slot");
+        }
+        st.feed(&ctx, &plan, &schema, &row(Value::int(7))).unwrap();
+        assert_eq!(st.group_count(), 1);
+
+        let mut fresh = GroupedAggState::new(false);
+        fresh
+            .feed(&ctx, &plan, &schema, &row(Value::int(7)))
+            .unwrap();
+        let (want, _) = fresh.finalize(&ctx, &plan, &schema).unwrap();
+        let published = st.publish(&ctx, &plan, &schema).unwrap();
+        assert!(published
+            .rows
+            .to_table(plan.out_schema().clone())
+            .ordered_eq(&want));
+        let (got, _) = st.finalize(&ctx, &plan, &schema).unwrap();
+        assert!(got.ordered_eq(&want), "got:\n{got}\nwant:\n{want}");
     }
 
     #[test]

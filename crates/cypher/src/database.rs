@@ -1231,8 +1231,8 @@ impl DbInner {
             let views = self.shared.views.lock().unwrap_or_else(|e| e.into_inner());
             (views.read_at(name, at.version())?, views.query_of(name)?)
         };
-        if let Some(t) = published {
-            return Ok((*t).clone());
+        if let Some(snapshot) = published {
+            return Ok(snapshot.table());
         }
         // The pin predates the retained publications: re-evaluate at the
         // pinned snapshot — same contents, full query cost.

@@ -20,8 +20,11 @@
 //!   with bare aggregate items, no `SKIP`/`LIMIT`, and `ORDER BY`
 //!   restricted to projected columns. The persistent state is a
 //!   [`GroupedAggState`]; a refresh retracts the old rows, feeds the new
-//!   ones, and snapshots the live groups — O(changed rows + live groups)
-//!   per commit, independent of the base table size.
+//!   ones and re-finishes only the groups they touched into persistent
+//!   [`GroupRows`], which the publication shares with its predecessor —
+//!   O(changed rows + changed groups) per commit, independent of the base
+//!   table size and nearly so of the group count. The rows become a table
+//!   (sorted, under `ORDER BY`) when a reader asks for one.
 //! * **Counted-bag projection** — same match half, but a plain
 //!   (non-aggregating, non-`DISTINCT`) projection. The state is a
 //!   refcounted bag of projected rows (plus their precomputed `ORDER BY`
@@ -48,15 +51,16 @@
 //! group that changed the view's contents: the bag difference (added and
 //! removed rows) between the previous and the new published table,
 //! stamped with the version. Replaying the changes on top of the initial
-//! table reproduces every published state in order.
+//! table reproduces every published state in order. Aggregate views take
+//! the difference from the changed groups' old and new rows, so a frame
+//! costs O(changed groups); the other modes diff whole tables.
 
 use crate::database::DatabaseMetrics;
 use crate::{Error, Record, Schema, Table};
 use cypher_ast::expr::Expr;
 use cypher_ast::query::{Query, SortItem};
-use cypher_core::clauses::apply_order_by_scoped;
 use cypher_core::error::EvalError;
-use cypher_core::project::{GroupedAggState, ProjectionPlan};
+use cypher_core::project::{GroupRows, GroupedAggState, ProjectionPlan};
 use cypher_core::{Bindings, EvalContext, Params, VarLookup};
 use cypher_engine::{DeltaPlan, EngineConfig};
 use cypher_graph::{affected_nodes, Change, GraphView, PropertyGraph, Value};
@@ -137,7 +141,8 @@ enum Maint {
     Agg {
         delta: DeltaPlan,
         proj: ProjectionPlan,
-        order: Vec<SortItem>,
+        /// `ORDER BY` as `(output column, ascending)` pairs.
+        order: Arc<[(usize, bool)]>,
         state: GroupedAggState,
     },
     /// Refcounted bag of projected rows for plain projections.
@@ -265,7 +270,8 @@ impl CountedBag {
 
 /// Two-layer `ORDER BY` scope for fold-time key computation: projected
 /// columns shadow the pre-projection match row (the same precedence
-/// [`apply_order_by_scoped`] gives a cold evaluation).
+/// `cypher_core::clauses::apply_order_by_scoped` gives a cold
+/// evaluation).
 struct FoldSortScope<'a> {
     projected: Bindings<'a>,
     source: Bindings<'a>,
@@ -279,12 +285,57 @@ impl VarLookup for FoldSortScope<'_> {
     }
 }
 
-/// True when `e` is a plain variable reference to one of `schema`'s
-/// columns — the conservative shape under which an aggregate view's
-/// `ORDER BY` is guaranteed to be computable from the finalized output
-/// alone (no group representative row needed).
-fn is_output_column_ref(e: &Expr, schema: &Schema) -> bool {
-    matches!(e, Expr::Var(name) if schema.contains(name))
+/// One publication of a view's contents.
+#[derive(Clone)]
+pub(crate) enum Snapshot {
+    /// A materialized table (counted-bag and full-recompute views).
+    Table(Arc<Table>),
+    /// An aggregate view's persistent group rows, assembled into a table
+    /// (and sorted by the view's `ORDER BY`) when read — so publishing
+    /// costs O(changed groups), and the O(rows) copy happens on the
+    /// reader's side, where handing out an owned table costs it anyway.
+    Groups {
+        rows: GroupRows,
+        schema: Arc<Schema>,
+        order: Arc<[(usize, bool)]>,
+    },
+}
+
+impl Snapshot {
+    /// The publication as an owned table.
+    pub(crate) fn table(&self) -> Table {
+        match self {
+            Snapshot::Table(t) => (**t).clone(),
+            Snapshot::Groups {
+                rows,
+                schema,
+                order,
+            } => {
+                let mut t = rows.to_table(schema.clone());
+                if !order.is_empty() {
+                    // Stable, like a cold `ORDER BY`.
+                    t.sort_by(|a, b| {
+                        for &(col, ascending) in order.iter() {
+                            let ord = a.get(col).cmp_order(b.get(col));
+                            let ord = if ascending { ord } else { ord.reverse() };
+                            if ord != std::cmp::Ordering::Equal {
+                                return ord;
+                            }
+                        }
+                        std::cmp::Ordering::Equal
+                    });
+                }
+                t
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Snapshot::Table(t) => t.len(),
+            Snapshot::Groups { rows, .. } => rows.len(),
+        }
+    }
 }
 
 /// One registered standing query.
@@ -294,7 +345,7 @@ struct ViewEntry {
     query: Arc<Query>,
     maint: Maint,
     /// `(version, output)` ring of recent publications, newest last.
-    published: VecDeque<(u64, Arc<Table>)>,
+    published: VecDeque<(u64, Snapshot)>,
     subs: Vec<Sender<ViewChange>>,
     /// Set when a refresh failed even after the full-recompute fallback;
     /// reads surface it instead of a stale table.
@@ -314,7 +365,7 @@ impl ViewEntry {
         let mut maint = Self::classify(&query, cfg);
         let params = Params::new();
         let initial = match &mut maint {
-            Maint::Full => cold_eval(at, &query, cfg)?,
+            Maint::Full => Snapshot::Table(Arc::new(cold_eval(at, &query, cfg)?)),
             Maint::Agg {
                 delta,
                 proj,
@@ -325,7 +376,7 @@ impl ViewEntry {
                 for row in delta.all_rows(&ctx)? {
                     state.feed(&ctx, proj, delta.schema(), &row)?;
                 }
-                finalize_agg(state, &ctx, proj, delta.schema(), order)?
+                agg_snapshot(state.publish(&ctx, proj, delta.schema())?.rows, proj, order)
             }
             Maint::Rows {
                 delta,
@@ -338,11 +389,11 @@ impl ViewEntry {
                     let (keys, out) = project_with_keys(&ctx, proj, delta, order, &row)?;
                     bag.insert(keys, out);
                 }
-                bag.snapshot(proj.out_schema().clone(), order)
+                Snapshot::Table(Arc::new(bag.snapshot(proj.out_schema().clone(), order)))
             }
         };
         let mut published = VecDeque::with_capacity(PUBLISHED_RING);
-        published.push_back((at.version(), Arc::new(initial)));
+        published.push_back((at.version(), initial));
         Ok(ViewEntry {
             name: name.to_string(),
             query_text: text.to_string(),
@@ -390,17 +441,22 @@ impl ViewEntry {
             // Group representative rows are not retained (a retraction
             // may concern entities deleted from the graph), so sort keys
             // must be answerable from the output columns alone.
-            if !ret
+            let schema = proj.out_schema();
+            let order: Option<Arc<[(usize, bool)]>> = ret
                 .order_by
                 .iter()
-                .all(|s| is_output_column_ref(&s.expr, proj.out_schema()))
-            {
+                .map(|s| match &s.expr {
+                    Expr::Var(name) => schema.index_of(name).map(|col| (col, s.ascending)),
+                    _ => None,
+                })
+                .collect();
+            let Some(order) = order else {
                 return Maint::Full;
-            }
+            };
             Maint::Agg {
                 delta,
                 proj,
-                order: ret.order_by.clone(),
+                order,
                 state: GroupedAggState::new(false),
             }
         } else {
@@ -416,15 +472,15 @@ impl ViewEntry {
     /// The published table for a reader pinned at `version`: the newest
     /// publication at or below it. `None` when the pin predates the
     /// retained ring (the caller re-evaluates cold).
-    fn published_at(&self, version: u64) -> Option<Arc<Table>> {
+    fn published_at(&self, version: u64) -> Option<Snapshot> {
         self.published
             .iter()
             .rev()
             .find(|(v, _)| *v <= version)
-            .map(|(_, t)| Arc::clone(t))
+            .map(|(_, t)| t.clone())
     }
 
-    fn push_published(&mut self, version: u64, table: Arc<Table>) {
+    fn push_published(&mut self, version: u64, table: Snapshot) {
         if self.published.len() >= PUBLISHED_RING {
             self.published.pop_front();
         }
@@ -432,7 +488,9 @@ impl ViewEntry {
     }
 
     /// Folds one commit group's delta into the state and returns the new
-    /// output table. `Err` means even the full-recompute fallback failed.
+    /// publication, plus its `(added, removed)` difference from the
+    /// previous one when the fold knows it without a table diff. `Err`
+    /// means even the full-recompute fallback failed.
     fn refresh(
         &mut self,
         old: &GraphView,
@@ -440,14 +498,15 @@ impl ViewEntry {
         changes: &[&[Change]],
         cfg: &EngineConfig,
         metrics: &DatabaseMetrics,
-    ) -> Result<Table, Error> {
+    ) -> Result<(Snapshot, Option<(Table, Table)>), Error> {
         let params = Params::new();
         match &mut self.maint {
             Maint::Full => {
                 if metrics.enabled() {
                     metrics.view_full_recomputes.inc();
                 }
-                cold_eval_graph(new_graph, &self.query, cfg)
+                let table = cold_eval_graph(new_graph, &self.query, cfg)?;
+                Ok((Snapshot::Table(Arc::new(table)), None))
             }
             Maint::Agg {
                 delta,
@@ -483,16 +542,26 @@ impl ViewEntry {
                     if metrics.enabled() {
                         metrics.view_full_recomputes.inc();
                     }
+                    // The rebuilt state has no memory of the previous
+                    // publication, so subscribers get a table diff.
                     *state = GroupedAggState::new(false);
                     for row in delta.all_rows(&ctx_new)? {
                         state.feed(&ctx_new, proj, delta.schema(), &row)?;
                     }
-                } else {
-                    for row in &insertions {
-                        state.feed(&ctx_new, proj, delta.schema(), row)?;
-                    }
+                    let published = state.publish(&ctx_new, proj, delta.schema())?;
+                    return Ok((agg_snapshot(published.rows, proj, order), None));
                 }
-                Ok(finalize_agg(state, &ctx_new, proj, delta.schema(), order)?)
+                for row in &insertions {
+                    state.feed(&ctx_new, proj, delta.schema(), row)?;
+                }
+                let published = state.publish(&ctx_new, proj, delta.schema())?;
+                let schema = proj.out_schema().clone();
+                let added = Table::new(schema.clone(), published.added);
+                let removed = Table::new(schema, published.removed);
+                Ok((
+                    agg_snapshot(published.rows, proj, order),
+                    Some((added, removed)),
+                ))
             }
             Maint::Rows {
                 delta,
@@ -538,7 +607,8 @@ impl ViewEntry {
                         bag.insert(keys, out);
                     }
                 }
-                Ok(bag.snapshot(proj.out_schema().clone(), order))
+                let table = bag.snapshot(proj.out_schema().clone(), order);
+                Ok((Snapshot::Table(Arc::new(table)), None))
             }
         }
     }
@@ -590,20 +660,13 @@ impl ViewEntry {
     }
 }
 
-/// Finalizes an aggregate view's state into its output table, applying
-/// the (projected-columns-only) `ORDER BY`.
-fn finalize_agg(
-    state: &GroupedAggState,
-    ctx: &EvalContext<'_>,
-    proj: &ProjectionPlan,
-    src_schema: &Schema,
-    order: &[SortItem],
-) -> Result<Table, EvalError> {
-    let out = state.finalize_snapshot(ctx, proj, src_schema)?;
-    if order.is_empty() {
-        return Ok(out);
+/// Wraps an aggregate view's published group rows.
+fn agg_snapshot(rows: GroupRows, proj: &ProjectionPlan, order: &Arc<[(usize, bool)]>) -> Snapshot {
+    Snapshot::Groups {
+        rows,
+        schema: proj.out_schema().clone(),
+        order: Arc::clone(order),
     }
-    apply_order_by_scoped(ctx, order, out, None)
 }
 
 /// Projects one match row and computes its `ORDER BY` keys under the
@@ -767,7 +830,7 @@ impl ViewRegistry {
     /// The published table for a reader at `version`: `Ok(Some)` from the
     /// ring, `Ok(None)` when the pin predates retention (caller
     /// re-evaluates cold against its own snapshot).
-    pub(crate) fn read_at(&self, name: &str, version: u64) -> Result<Option<Arc<Table>>, Error> {
+    pub(crate) fn read_at(&self, name: &str, version: u64) -> Result<Option<Snapshot>, Error> {
         let Some(e) = self.entry(name) else {
             return Err(Error::Eval(EvalError::new(format!("no such view: {name}"))));
         };
@@ -817,12 +880,13 @@ impl ViewRegistry {
             let started = Instant::now();
             let refreshed = e.refresh(old, new_graph, changes, &cfg, metrics);
             match refreshed {
-                Ok(table) => {
-                    let table = Arc::new(table);
+                Ok((table, diff)) => {
                     if !e.subs.is_empty() {
-                        let prev = e.published.back().map(|(_, t)| Arc::clone(t));
-                        if let Some(prev) = prev {
-                            let (added, removed) = bag_diff(&prev, &table);
+                        let diff = diff.or_else(|| {
+                            let prev = e.published.back()?;
+                            Some(bag_diff(&prev.1.table(), &table.table()))
+                        });
+                        if let Some((added, removed)) = diff {
                             if !added.is_empty() || !removed.is_empty() {
                                 let change = ViewChange {
                                     name: e.name.clone(),

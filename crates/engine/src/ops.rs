@@ -642,12 +642,7 @@ fn source_items(
         }
         PlanStep::NodeIndexScan { var, label } => {
             let nodes = match ctx.graph.interner().get(label) {
-                Some(sym) => ctx
-                    .graph
-                    .nodes_with_label(sym)
-                    .iter()
-                    .map(|&n| Value::Node(n))
-                    .collect(),
+                Some(sym) => ctx.graph.nodes_with_label(sym).map(Value::Node).collect(),
                 None => Vec::new(),
             };
             Some((var.clone(), nodes))

@@ -13,6 +13,7 @@ use crate::change::{Change, ChangeSink};
 use crate::fxhash::FxHashMap;
 use crate::index::{value_bucket, IndexCardinality, IndexSet};
 use crate::interner::{Interner, Symbol};
+use crate::postings::Postings;
 use crate::slots::CowSlots;
 use crate::value::Value;
 use std::fmt;
@@ -488,41 +489,31 @@ impl PropertyGraph {
     }
 
     /// Live nodes whose property `k` is equivalent to `v`, via the node
-    /// property index (deterministic order).
+    /// property index (id order).
     pub fn nodes_with_prop(&self, k: Symbol, v: &Value) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self
-            .indexes
+        self.indexes
             .prop_candidates(k, value_bucket(v))
-            .iter()
-            .copied()
             .filter(|&n| {
                 self.node_prop(n, k)
                     .map(|w| w.equivalent(v))
                     .unwrap_or(false)
             })
-            .collect();
-        out.sort_unstable();
-        out
+            .collect()
     }
 
     /// Live nodes with label `l` whose property `k` is equivalent to `v`,
-    /// via the composite label/property index (deterministic order). This
-    /// is the storage-side half of the planner's `PropertyIndexSeek`.
+    /// via the composite label/property index (id order). This is the
+    /// storage-side half of the planner's `PropertyIndexSeek`.
     pub fn nodes_with_label_prop(&self, l: Symbol, k: Symbol, v: &Value) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self
-            .indexes
+        self.indexes
             .label_prop_candidates(l, k, value_bucket(v))
-            .iter()
-            .copied()
             .filter(|&n| {
                 debug_assert!(self.has_label(n, l), "composite index label drift");
                 self.node_prop(n, k)
                     .map(|w| w.equivalent(v))
                     .unwrap_or(false)
             })
-            .collect();
-        out.sort_unstable();
-        out
+            .collect()
     }
 
     /// Adds a relationship of the given type between two live nodes.
@@ -822,8 +813,8 @@ impl PropertyGraph {
         self.rels.iter_live().map(|(i, _)| RelId(i as u64))
     }
 
-    /// Live nodes with the given label, via the label index.
-    pub fn nodes_with_label(&self, l: Symbol) -> &[NodeId] {
+    /// Live nodes with the given label, in id order, via the label index.
+    pub fn nodes_with_label(&self, l: Symbol) -> Postings<'_> {
         self.indexes.nodes_with_label(l)
     }
 
@@ -839,7 +830,7 @@ impl PropertyGraph {
 
     /// Number of live nodes with a given label.
     pub fn label_cardinality(&self, l: Symbol) -> usize {
-        self.nodes_with_label(l).len()
+        self.indexes.label_cardinality(l)
     }
 
     /// Number of live relationships of a given type.
@@ -1035,9 +1026,10 @@ impl PropertyGraph {
         self.indexes.begin_deferred();
     }
 
-    /// Leaves bulk mode, applying the buffered index maintenance — fanned
-    /// out across posting shards on up to `threads` scoped threads when
-    /// the buffer is large. State-identical to incremental maintenance.
+    /// Leaves bulk mode, applying the buffered index maintenance unit by
+    /// unit — a label's list, or one root branch of a key's bucket trie —
+    /// on up to `threads` scoped threads when the buffer is large.
+    /// State-identical to incremental maintenance.
     pub fn finish_bulk_index_maintenance(&mut self, threads: usize) {
         self.indexes.finish_deferred(threads);
     }
@@ -1087,11 +1079,11 @@ impl PropertyGraph {
         Self::restore_with_threads(node_slots, rel_slots, nodes, rels, 1)
     }
 
-    /// [`PropertyGraph::restore`] with an index-rebuild thread budget:
-    /// with more than one thread the per-node index insertions are
-    /// buffered and fanned out across posting shards at the end, which
-    /// rebuilds the same bit-identical index set (deferred ops preserve
-    /// per-unit order).
+    /// [`PropertyGraph::restore`] with an index-rebuild thread budget. The
+    /// per-node index insertions are buffered and bulk-built at the end,
+    /// one sorted pass per posting unit, fanned out over up to `threads`
+    /// threads; the result is the same index set incremental maintenance
+    /// builds (see [`PropertyGraph::finish_bulk_index_maintenance`]).
     pub fn restore_with_threads(
         node_slots: usize,
         rel_slots: usize,
@@ -1101,9 +1093,7 @@ impl PropertyGraph {
     ) -> Result<PropertyGraph, GraphError> {
         let bad = |msg: String| GraphError::InvalidSnapshot(msg);
         let mut g = PropertyGraph::new();
-        if threads > 1 {
-            g.indexes.begin_deferred();
-        }
+        g.indexes.begin_deferred();
         g.nodes = CowSlots::with_slots(node_slots);
         let mut last_node: Option<u64> = None;
         for ns in nodes {
@@ -1268,7 +1258,7 @@ mod tests {
         assert_eq!(g.rel_prop_by_name(r, "since"), Some(&Value::int(1985)));
         let person = g.interner().get("Person").unwrap();
         assert!(g.has_label(a, person));
-        assert_eq!(g.nodes_with_label(person), &[a, b]);
+        assert!(g.nodes_with_label(person).eq([a, b]));
     }
 
     #[test]

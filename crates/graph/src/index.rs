@@ -23,12 +23,24 @@
 //! value, the classic uniform-values assumption (cf. the output-size
 //! bounds of Abo Khamis et al., *Computing Join Queries with Functional
 //! Dependencies*, which this per-key statistic crudely approximates).
+//!
+//! ## Copy-on-write cost
+//!
+//! The graph, indexes included, is cloned once per committed write batch,
+//! so what a commit pays is the first write after a clone. Label lists
+//! are persistent B+-trees and each bucket map is a path-copying
+//! hash-array-mapped trie whose single-node buckets are stored inline
+//! (see `postings.rs`). Cloning an
+//! [`IndexSet`] bumps one `Arc` per indexed label, key and `(label, key)`
+//! pair; the first write after it copies one root-to-leaf path of bounded
+//! nodes per structure it touches — a few KiB, independent of how many
+//! nodes, values or ids the touched index holds.
 
 use crate::fxhash::FxHashMap;
 use crate::graph::NodeId;
 use crate::interner::Symbol;
+use crate::postings::{root_branch, BucketTrie, IdList, Postings, TrieBranch};
 use crate::value::Value;
-use std::sync::Arc;
 
 /// Hashes a value into its index bucket, respecting Cypher equivalence
 /// (so `9` and `9.0` land in the same bucket).
@@ -62,103 +74,20 @@ impl IndexCardinality {
     }
 }
 
-/// Inserts into a posting list, keeping it sorted by node id. Posting
-/// lists are **canonically ordered**: the common case (a freshly created
-/// node, whose id exceeds every existing one) is an O(1) append, while
-/// late label/property additions to old nodes pay a binary-search insert.
-/// Canonical order is what lets crash recovery rebuild every index
-/// bit-identical to the incrementally-maintained one — index state is a
-/// pure function of graph content, never of mutation history.
-fn insert_sorted(list: &mut Vec<NodeId>, n: NodeId) {
-    match list.last() {
-        Some(&last) if last >= n => {
-            if let Err(pos) = list.binary_search(&n) {
-                list.insert(pos, n);
-            }
-        }
-        _ => list.push(n),
-    }
-}
-
-/// Shards per value-bucket map. The copy-on-write bill of the first
-/// mutation touching a key after a snapshot clone is one shard's map
-/// copy — 1/32 of the key's distinct values — instead of the whole map
-/// (a point `SET` on a 100k-distinct-values key drops from ~ms to ~µs).
-const BUCKET_SHARDS: usize = 32;
-
-/// One value-bucketed posting-list map plus its running totals,
-/// **sharded** by bucket hash for copy-on-write friendliness. Every
-/// level is `Arc`-shared: cloning copies shard *pointers*, mutating
-/// copies the one touched shard map and the one touched posting list,
-/// each once per clone generation via [`Arc::make_mut`].
-#[derive(Debug, Clone)]
-struct ValueBuckets {
-    shards: Vec<Arc<FxHashMap<u64, Arc<Vec<NodeId>>>>>,
-    entries: usize,
-}
-
-impl Default for ValueBuckets {
-    fn default() -> Self {
-        ValueBuckets {
-            shards: (0..BUCKET_SHARDS).map(|_| Arc::default()).collect(),
-            entries: 0,
-        }
-    }
-}
-
-/// Which shard a bucket hash lives in. Low bits: `value_bucket` hashes
-/// are finalized (well-mixed), so any bit window spreads evenly.
-fn shard_of(bucket: u64) -> usize {
-    (bucket as usize) & (BUCKET_SHARDS - 1)
-}
-
-impl ValueBuckets {
-    fn insert(&mut self, bucket: u64, n: NodeId) {
-        let shard = Arc::make_mut(&mut self.shards[shard_of(bucket)]);
-        insert_sorted(Arc::make_mut(shard.entry(bucket).or_default()), n);
-        self.entries += 1;
-    }
-
-    fn remove(&mut self, bucket: u64, n: NodeId) {
-        let shard = Arc::make_mut(&mut self.shards[shard_of(bucket)]);
-        if let Some(list) = shard.get_mut(&bucket) {
-            if let Ok(pos) = list.binary_search(&n) {
-                Arc::make_mut(list).remove(pos);
-                self.entries -= 1;
-                if list.is_empty() {
-                    shard.remove(&bucket);
-                }
-            }
-        }
-    }
-
-    fn candidates(&self, bucket: u64) -> &[NodeId] {
-        self.shards[shard_of(bucket)]
-            .get(&bucket)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
-    }
-
+impl BucketTrie {
     fn cardinality(&self) -> IndexCardinality {
         IndexCardinality {
-            entries: self.entries,
-            distinct: self.shards.iter().map(|s| s.len()).sum(),
+            entries: self.entries(),
+            distinct: self.buckets(),
         }
     }
 
-    /// Canonical rendering: buckets sorted by hash, lists verbatim.
-    /// Shard layout is invisible here — the dump is a pure function of
-    /// the indexed content, exactly as before sharding.
+    /// Canonical rendering: buckets sorted by hash, lists in id order.
     fn dump(&self) -> String {
         use std::fmt::Write;
-        let mut buckets: Vec<(u64, &Vec<NodeId>)> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.iter().map(|(&h, v)| (h, &**v)))
-            .collect();
-        buckets.sort_by_key(|&(h, _)| h);
         let mut s = String::new();
-        for (h, nodes) in buckets {
+        for (h, nodes) in self.sorted_buckets() {
+            let nodes: Vec<NodeId> = nodes.collect();
             write!(s, "{h:016x}={nodes:?} ").unwrap();
         }
         s
@@ -168,7 +97,7 @@ impl ValueBuckets {
 /// One primitive, fully-resolved index mutation. Bulk (deferred) mode
 /// buffers these instead of touching posting structures, then applies
 /// them grouped by **disjoint target unit** — a label's posting list, or
-/// one `(key, shard)` of a bucket map — preserving per-unit emission
+/// one root branch of a key's bucket trie — preserving per-unit emission
 /// order, which makes the final state identical to incremental
 /// maintenance while letting units apply on different threads.
 #[derive(Debug, Clone, Copy)]
@@ -178,19 +107,20 @@ enum IndexOp {
         l: Symbol,
         n: NodeId,
     },
-    Prop {
+    Bucket {
         insert: bool,
-        k: Symbol,
+        target: BucketTarget,
         bucket: u64,
         n: NodeId,
     },
-    Composite {
-        insert: bool,
-        l: Symbol,
-        k: Symbol,
-        bucket: u64,
-        n: NodeId,
-    },
+}
+
+/// The bucket map an [`IndexOp`] targets: a key's, or a `(label, key)`
+/// pair's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum BucketTarget {
+    Prop(Symbol),
+    Composite(Symbol, Symbol),
 }
 
 /// Below this many buffered ops the fan-out overhead outweighs the work.
@@ -200,22 +130,24 @@ const PARALLEL_APPLY_MIN_OPS: usize = 2048;
 ///
 /// The store owns exactly one `IndexSet` and routes every node mutation
 /// through the `on_*` hooks below; each hook is O(labels × properties
-/// touched) — the incremental cost of staying consistent.
-/// Every posting structure is `Arc`-shared copy-on-write: cloning an
-/// `IndexSet` is O(indexed labels + keys + (label, key) pairs) pointer
-/// bumps, and a mutation after a clone copies only the structures it
-/// touches (see [`crate::version`] for the multi-version protocol this
-/// serves).
+/// touched) primitive ops — the incremental cost of staying consistent.
+/// Every posting structure is persistent (see the module docs): cloning
+/// an `IndexSet` is one `Arc` bump per indexed label, key and
+/// `(label, key)` pair, and a mutation after a clone copies one bounded
+/// path per structure it touches (see [`crate::version`] for the
+/// multi-version protocol this serves).
 #[derive(Debug, Clone, Default)]
 pub struct IndexSet {
-    /// `ℓ → nodes`, sorted by node id (scan order is deterministic *and*
-    /// canonical — see [`insert_sorted`]).
-    labels: FxHashMap<Symbol, Arc<Vec<NodeId>>>,
+    /// `ℓ → nodes`, in id order (scan order is deterministic *and*
+    /// canonical: index state is a pure function of graph content, never
+    /// of mutation history, which is what lets crash recovery rebuild
+    /// every index bit-identical to the incrementally maintained one).
+    labels: FxHashMap<Symbol, IdList>,
     /// `k → value → nodes`.
-    props: FxHashMap<Symbol, Arc<ValueBuckets>>,
+    props: FxHashMap<Symbol, BucketTrie>,
     /// `(ℓ, k) → value → nodes` — the composite index backing
     /// `PropertyIndexSeek`.
-    label_props: FxHashMap<(Symbol, Symbol), Arc<ValueBuckets>>,
+    label_props: FxHashMap<(Symbol, Symbol), BucketTrie>,
     /// `Some` while in bulk mode: hooks buffer [`IndexOp`]s here instead
     /// of applying them (see [`IndexSet::begin_deferred`]).
     deferred: Option<Vec<IndexOp>>,
@@ -229,195 +161,88 @@ impl IndexSet {
 
     // -- mutation hooks ------------------------------------------------------
 
+    /// Applies one op now, or buffers it in bulk mode.
+    fn emit(&mut self, op: IndexOp) {
+        match &mut self.deferred {
+            Some(buf) => buf.push(op),
+            None => self.apply_op(op),
+        }
+    }
+
+    /// Emits the key and composite entries of `(k, bucket)` on a node
+    /// carrying `labels`.
+    fn emit_prop(&mut self, insert: bool, n: NodeId, labels: &[Symbol], k: Symbol, bucket: u64) {
+        let targets = std::iter::once(BucketTarget::Prop(k))
+            .chain(labels.iter().map(|&l| BucketTarget::Composite(l, k)));
+        for target in targets {
+            self.emit(IndexOp::Bucket {
+                insert,
+                target,
+                bucket,
+                n,
+            });
+        }
+    }
+
+    /// Emits the label and composite entries of label `l` on a node with
+    /// the given properties.
+    fn emit_label(&mut self, insert: bool, n: NodeId, l: Symbol, props: &[(Symbol, u64)]) {
+        self.emit(IndexOp::Label { insert, l, n });
+        for &(k, bucket) in props {
+            self.emit(IndexOp::Bucket {
+                insert,
+                target: BucketTarget::Composite(l, k),
+                bucket,
+                n,
+            });
+        }
+    }
+
     /// A node was created with the given labels and properties. `labels`
     /// must already be deduplicated.
     pub fn on_node_added(&mut self, n: NodeId, labels: &[Symbol], props: &[(Symbol, u64)]) {
-        if let Some(buf) = &mut self.deferred {
-            for &l in labels {
-                buf.push(IndexOp::Label { insert: true, l, n });
-            }
-            for &(k, bucket) in props {
-                buf.push(IndexOp::Prop {
-                    insert: true,
-                    k,
-                    bucket,
-                    n,
-                });
-                for &l in labels {
-                    buf.push(IndexOp::Composite {
-                        insert: true,
-                        l,
-                        k,
-                        bucket,
-                        n,
-                    });
-                }
-            }
-            return;
-        }
         for &l in labels {
-            insert_sorted(Arc::make_mut(self.labels.entry(l).or_default()), n);
+            self.emit(IndexOp::Label { insert: true, l, n });
         }
         for &(k, bucket) in props {
-            Arc::make_mut(self.props.entry(k).or_default()).insert(bucket, n);
-            for &l in labels {
-                Arc::make_mut(self.label_props.entry((l, k)).or_default()).insert(bucket, n);
-            }
+            self.emit_prop(true, n, labels, k, bucket);
         }
     }
 
     /// A node is being removed; `labels`/`props` describe its state at
     /// removal time.
     pub fn on_node_removed(&mut self, n: NodeId, labels: &[Symbol], props: &[(Symbol, u64)]) {
-        if let Some(buf) = &mut self.deferred {
-            for &l in labels {
-                buf.push(IndexOp::Label {
-                    insert: false,
-                    l,
-                    n,
-                });
-            }
-            for &(k, bucket) in props {
-                buf.push(IndexOp::Prop {
-                    insert: false,
-                    k,
-                    bucket,
-                    n,
-                });
-                for &l in labels {
-                    buf.push(IndexOp::Composite {
-                        insert: false,
-                        l,
-                        k,
-                        bucket,
-                        n,
-                    });
-                }
-            }
-            return;
-        }
         for &l in labels {
-            if let Some(list) = self.labels.get_mut(&l) {
-                Arc::make_mut(list).retain(|&x| x != n);
-            }
+            self.emit(IndexOp::Label {
+                insert: false,
+                l,
+                n,
+            });
         }
         for &(k, bucket) in props {
-            if let Some(b) = self.props.get_mut(&k) {
-                Arc::make_mut(b).remove(bucket, n);
-            }
-            for &l in labels {
-                if let Some(b) = self.label_props.get_mut(&(l, k)) {
-                    Arc::make_mut(b).remove(bucket, n);
-                }
-            }
+            self.emit_prop(false, n, labels, k, bucket);
         }
     }
 
     /// A label was added to a live node with the given current properties.
     pub fn on_label_added(&mut self, n: NodeId, l: Symbol, props: &[(Symbol, u64)]) {
-        if let Some(buf) = &mut self.deferred {
-            buf.push(IndexOp::Label { insert: true, l, n });
-            for &(k, bucket) in props {
-                buf.push(IndexOp::Composite {
-                    insert: true,
-                    l,
-                    k,
-                    bucket,
-                    n,
-                });
-            }
-            return;
-        }
-        insert_sorted(Arc::make_mut(self.labels.entry(l).or_default()), n);
-        for &(k, bucket) in props {
-            Arc::make_mut(self.label_props.entry((l, k)).or_default()).insert(bucket, n);
-        }
+        self.emit_label(true, n, l, props);
     }
 
     /// A label was removed from a live node with the given current
     /// properties.
     pub fn on_label_removed(&mut self, n: NodeId, l: Symbol, props: &[(Symbol, u64)]) {
-        if let Some(buf) = &mut self.deferred {
-            buf.push(IndexOp::Label {
-                insert: false,
-                l,
-                n,
-            });
-            for &(k, bucket) in props {
-                buf.push(IndexOp::Composite {
-                    insert: false,
-                    l,
-                    k,
-                    bucket,
-                    n,
-                });
-            }
-            return;
-        }
-        if let Some(list) = self.labels.get_mut(&l) {
-            Arc::make_mut(list).retain(|&x| x != n);
-        }
-        for &(k, bucket) in props {
-            if let Some(b) = self.label_props.get_mut(&(l, k)) {
-                Arc::make_mut(b).remove(bucket, n);
-            }
-        }
+        self.emit_label(false, n, l, props);
     }
 
     /// A property value was set on a node carrying `labels`.
     pub fn on_prop_set(&mut self, n: NodeId, labels: &[Symbol], k: Symbol, bucket: u64) {
-        if let Some(buf) = &mut self.deferred {
-            buf.push(IndexOp::Prop {
-                insert: true,
-                k,
-                bucket,
-                n,
-            });
-            for &l in labels {
-                buf.push(IndexOp::Composite {
-                    insert: true,
-                    l,
-                    k,
-                    bucket,
-                    n,
-                });
-            }
-            return;
-        }
-        Arc::make_mut(self.props.entry(k).or_default()).insert(bucket, n);
-        for &l in labels {
-            Arc::make_mut(self.label_props.entry((l, k)).or_default()).insert(bucket, n);
-        }
+        self.emit_prop(true, n, labels, k, bucket);
     }
 
     /// A property value was removed from a node carrying `labels`.
     pub fn on_prop_removed(&mut self, n: NodeId, labels: &[Symbol], k: Symbol, bucket: u64) {
-        if let Some(buf) = &mut self.deferred {
-            buf.push(IndexOp::Prop {
-                insert: false,
-                k,
-                bucket,
-                n,
-            });
-            for &l in labels {
-                buf.push(IndexOp::Composite {
-                    insert: false,
-                    l,
-                    k,
-                    bucket,
-                    n,
-                });
-            }
-            return;
-        }
-        if let Some(b) = self.props.get_mut(&k) {
-            Arc::make_mut(b).remove(bucket, n);
-        }
-        for &l in labels {
-            if let Some(b) = self.label_props.get_mut(&(l, k)) {
-                Arc::make_mut(b).remove(bucket, n);
-            }
-        }
+        self.emit_prop(false, n, labels, k, bucket);
     }
 
     // -- bulk (deferred) maintenance -----------------------------------------
@@ -432,29 +257,32 @@ impl IndexSet {
         }
     }
 
-    /// Leaves bulk mode, applying every buffered op. With `threads > 1`
-    /// and enough ops, application fans out across disjoint posting
-    /// units — per-label lists and per-`(key, shard)` bucket maps — on
-    /// scoped threads; per-unit op order is emission order, so the final
-    /// index state is identical to incremental maintenance.
+    /// Leaves bulk mode, applying every buffered op. Ops are grouped by
+    /// disjoint posting unit — a label's list, or one root branch of a
+    /// key's (or `(label, key)` pair's) bucket trie. A unit whose
+    /// structure starts empty and receives only inserts is bulk-built in
+    /// one sorted pass (the snapshot-restore case); any other unit
+    /// replays its ops in emission order. With `threads > 1` and enough
+    /// ops the units run on scoped threads. Either way the final index
+    /// state is identical to incremental maintenance.
     pub(crate) fn finish_deferred(&mut self, threads: usize) {
         let Some(ops) = self.deferred.take() else {
             return;
         };
-        if threads <= 1 || ops.len() < PARALLEL_APPLY_MIN_OPS {
-            for op in ops {
-                self.apply_op(op);
-            }
-            return;
-        }
-        self.apply_deferred_parallel(ops, threads);
+        let threads = if ops.len() < PARALLEL_APPLY_MIN_OPS {
+            1
+        } else {
+            threads
+        };
+        self.apply_deferred(ops, threads);
     }
 
-    /// Applies one buffered op exactly as the incremental hook would.
+    /// Applies one op to the posting structures. Inserts create a label's
+    /// list or a key's trie on first use; removals never create one.
     fn apply_op(&mut self, op: IndexOp) {
         match op {
             IndexOp::Label { insert: true, l, n } => {
-                insert_sorted(Arc::make_mut(self.labels.entry(l).or_default()), n);
+                self.labels.entry(l).or_default().insert(n);
             }
             IndexOp::Label {
                 insert: false,
@@ -462,108 +290,73 @@ impl IndexSet {
                 n,
             } => {
                 if let Some(list) = self.labels.get_mut(&l) {
-                    Arc::make_mut(list).retain(|&x| x != n);
+                    list.remove(n);
                 }
             }
-            IndexOp::Prop {
+            IndexOp::Bucket {
                 insert,
-                k,
+                target,
                 bucket,
                 n,
             } => {
-                if insert {
-                    Arc::make_mut(self.props.entry(k).or_default()).insert(bucket, n);
-                } else if let Some(b) = self.props.get_mut(&k) {
-                    Arc::make_mut(b).remove(bucket, n);
-                }
-            }
-            IndexOp::Composite {
-                insert,
-                l,
-                k,
-                bucket,
-                n,
-            } => {
-                if insert {
-                    Arc::make_mut(self.label_props.entry((l, k)).or_default()).insert(bucket, n);
-                } else if let Some(b) = self.label_props.get_mut(&(l, k)) {
-                    Arc::make_mut(b).remove(bucket, n);
+                if let Some(trie) = self.trie_mut(target, insert) {
+                    if insert {
+                        trie.insert(bucket, n);
+                    } else {
+                        trie.remove(bucket, n);
+                    }
                 }
             }
         }
     }
 
-    /// The shard-parallel bulk apply. Ops are grouped by disjoint target
-    /// unit; each unit's postings are lifted out of the maps, mutated on
-    /// a worker thread in emission order, and written back serially. A
-    /// unit mirrors the incremental hook exactly, including when entries
-    /// are created (inserts create, removes never do) and removed (a
-    /// bucket emptied by removal disappears), so the result is
-    /// bit-identical to serial application — the recovery differential's
-    /// canonical dumps witness this.
-    fn apply_deferred_parallel(&mut self, ops: Vec<IndexOp>, threads: usize) {
-        type BucketMap = Arc<FxHashMap<u64, Arc<Vec<NodeId>>>>;
+    /// The unit-wise bulk apply behind [`IndexSet::finish_deferred`]:
+    /// each unit's structure is detached, mutated (on a worker thread when
+    /// `threads > 1`), and re-attached serially. A unit mirrors
+    /// [`IndexSet::apply_op`] exactly, including when structures are
+    /// created (inserts create, removes never do), so the result equals
+    /// serial application — the recovery differential's canonical dumps
+    /// witness this.
+    fn apply_deferred(&mut self, ops: Vec<IndexOp>, threads: usize) {
+        type BranchOps = Vec<(bool, u64, NodeId)>;
         enum Unit {
             Label {
                 l: Symbol,
-                list: Arc<Vec<NodeId>>,
+                list: IdList,
                 ops: Vec<(bool, NodeId)>,
             },
-            Buckets {
-                /// Identifies the writeback target: props key or
-                /// label_props pair, plus the shard slot.
+            Branch {
                 target: BucketTarget,
-                shard: usize,
-                map: BucketMap,
-                ops: Vec<(bool, u64, NodeId)>,
-                delta: isize,
+                branch: u32,
+                trie: TrieBranch,
+                ops: BranchOps,
             },
-        }
-        enum BucketTarget {
-            Prop(Symbol),
-            Composite(Symbol, Symbol),
         }
 
         // Group ops by unit, preserving emission order within each.
         let mut label_ops: FxHashMap<Symbol, Vec<(bool, NodeId)>> = FxHashMap::default();
-        let mut prop_ops: FxHashMap<(Symbol, usize), Vec<(bool, u64, NodeId)>> =
-            FxHashMap::default();
-        let mut comp_ops: FxHashMap<(Symbol, Symbol, usize), Vec<(bool, u64, NodeId)>> =
-            FxHashMap::default();
+        let mut branch_ops: FxHashMap<(BucketTarget, u32), BranchOps> = FxHashMap::default();
         for op in ops {
             match op {
                 IndexOp::Label { insert, l, n } => {
                     label_ops.entry(l).or_default().push((insert, n));
                 }
-                IndexOp::Prop {
+                IndexOp::Bucket {
                     insert,
-                    k,
+                    target,
                     bucket,
                     n,
                 } => {
-                    prop_ops
-                        .entry((k, shard_of(bucket)))
-                        .or_default()
-                        .push((insert, bucket, n));
-                }
-                IndexOp::Composite {
-                    insert,
-                    l,
-                    k,
-                    bucket,
-                    n,
-                } => {
-                    comp_ops
-                        .entry((l, k, shard_of(bucket)))
+                    branch_ops
+                        .entry((target, root_branch(bucket)))
                         .or_default()
                         .push((insert, bucket, n));
                 }
             }
         }
 
-        // Lift each unit's target structure out of the maps. Remove-only
-        // units against absent entries stay absent (the incremental hooks
-        // never create an entry on removal).
+        // Detach each unit's target structure. Remove-only units against
+        // absent structures stay absent (removals never create one).
         let mut units: Vec<std::sync::Mutex<Unit>> = Vec::new();
         for (l, ops) in label_ops {
             if !self.labels.contains_key(&l) && !ops.iter().any(|&(ins, _)| ins) {
@@ -572,32 +365,16 @@ impl IndexSet {
             let list = self.labels.remove(&l).unwrap_or_default();
             units.push(std::sync::Mutex::new(Unit::Label { l, list, ops }));
         }
-        for ((k, si), ops) in prop_ops {
-            if !self.props.contains_key(&k) && !ops.iter().any(|&(ins, _, _)| ins) {
+        for ((target, branch), ops) in branch_ops {
+            let create = ops.iter().any(|&(ins, _, _)| ins);
+            let Some(trie) = self.trie_mut(target, create) else {
                 continue;
-            }
-            let vb = Arc::make_mut(self.props.entry(k).or_default());
-            let map = std::mem::take(&mut vb.shards[si]);
-            units.push(std::sync::Mutex::new(Unit::Buckets {
-                target: BucketTarget::Prop(k),
-                shard: si,
-                map,
+            };
+            units.push(std::sync::Mutex::new(Unit::Branch {
+                target,
+                branch,
+                trie: trie.take_branch(branch),
                 ops,
-                delta: 0,
-            }));
-        }
-        for ((l, k, si), ops) in comp_ops {
-            if !self.label_props.contains_key(&(l, k)) && !ops.iter().any(|&(ins, _, _)| ins) {
-                continue;
-            }
-            let vb = Arc::make_mut(self.label_props.entry((l, k)).or_default());
-            let map = std::mem::take(&mut vb.shards[si]);
-            units.push(std::sync::Mutex::new(Unit::Buckets {
-                target: BucketTarget::Composite(l, k),
-                shard: si,
-                map,
-                ops,
-                delta: 0,
             }));
         }
 
@@ -605,32 +382,30 @@ impl IndexSet {
         // and mutate independently; each per-unit mutex is uncontended.
         fn run_unit(u: &mut Unit) {
             match u {
+                Unit::Label { list, ops, .. } if list.is_empty() && ops.iter().all(|op| op.0) => {
+                    let mut ids: Vec<NodeId> = ops.iter().map(|op| op.1).collect();
+                    ids.sort_unstable();
+                    ids.dedup();
+                    *list = IdList::from_sorted(&ids);
+                }
+                Unit::Branch { trie, ops, .. } if trie.is_empty() && ops.iter().all(|op| op.0) => {
+                    trie.fill(ops.iter().map(|op| (op.1, op.2)).collect());
+                }
                 Unit::Label { list, ops, .. } => {
-                    let list = Arc::make_mut(list);
                     for &(insert, n) in ops.iter() {
                         if insert {
-                            insert_sorted(list, n);
+                            list.insert(n);
                         } else {
-                            list.retain(|&x| x != n);
+                            list.remove(n);
                         }
                     }
                 }
-                Unit::Buckets {
-                    map, ops, delta, ..
-                } => {
-                    let m = Arc::make_mut(map);
+                Unit::Branch { trie, ops, .. } => {
                     for &(insert, bucket, n) in ops.iter() {
                         if insert {
-                            insert_sorted(Arc::make_mut(m.entry(bucket).or_default()), n);
-                            *delta += 1;
-                        } else if let Some(list) = m.get_mut(&bucket) {
-                            if let Ok(pos) = list.binary_search(&n) {
-                                Arc::make_mut(list).remove(pos);
-                                *delta -= 1;
-                                if list.is_empty() {
-                                    m.remove(&bucket);
-                                }
-                            }
+                            trie.insert(bucket, n);
+                        } else {
+                            trie.remove(bucket, n);
                         }
                     }
                 }
@@ -654,70 +429,75 @@ impl IndexSet {
             });
         }
 
-        // Serial writeback: lists and shard maps slot back in; entry
-        // counters absorb each unit's delta.
+        // Serial writeback. Surviving label units had a prior list or an
+        // insert op, and incremental inserts create lists that removals
+        // never delete — so the list always exists afterwards, even when
+        // it netted out empty.
         for u in units {
             match u.into_inner().unwrap() {
-                // Surviving units had a prior entry or an insert op, and
-                // incremental inserts create entries that removals never
-                // delete — so the entry always exists afterwards, even
-                // when its list netted out empty.
                 Unit::Label { l, list, .. } => {
                     self.labels.insert(l, list);
                 }
-                Unit::Buckets {
+                Unit::Branch {
                     target,
-                    shard,
-                    map,
-                    delta,
+                    branch,
+                    trie,
                     ..
                 } => {
-                    let vb = match target {
-                        BucketTarget::Prop(k) => {
-                            Arc::make_mut(self.props.get_mut(&k).expect("unit target exists"))
-                        }
-                        BucketTarget::Composite(l, k) => Arc::make_mut(
-                            self.label_props
-                                .get_mut(&(l, k))
-                                .expect("unit target exists"),
-                        ),
-                    };
-                    vb.shards[shard] = map;
-                    vb.entries = (vb.entries as isize + delta) as usize;
+                    self.trie_mut(target, false)
+                        .expect("unit target exists")
+                        .put_branch(branch, trie);
                 }
             }
         }
     }
 
+    /// The bucket trie of `target`; created empty when absent and
+    /// `create` holds.
+    fn trie_mut(&mut self, target: BucketTarget, create: bool) -> Option<&mut BucketTrie> {
+        match (target, create) {
+            (BucketTarget::Prop(k), true) => Some(self.props.entry(k).or_default()),
+            (BucketTarget::Prop(k), false) => self.props.get_mut(&k),
+            (BucketTarget::Composite(l, k), true) => {
+                Some(self.label_props.entry((l, k)).or_default())
+            }
+            (BucketTarget::Composite(l, k), false) => self.label_props.get_mut(&(l, k)),
+        }
+    }
+
     // -- lookups -------------------------------------------------------------
 
-    /// Live nodes with the given label, in insertion order.
-    pub fn nodes_with_label(&self, l: Symbol) -> &[NodeId] {
-        self.labels.get(&l).map(|v| v.as_slice()).unwrap_or(&[])
+    /// Live nodes with the given label, in id order.
+    pub fn nodes_with_label(&self, l: Symbol) -> Postings<'_> {
+        self.labels
+            .get(&l)
+            .map(IdList::iter)
+            .unwrap_or_else(Postings::empty)
     }
 
-    /// Candidate nodes whose property `k` hashes like `v`. Callers must
-    /// re-check equivalence (hash classes may collide).
-    pub fn prop_candidates(&self, k: Symbol, bucket: u64) -> &[NodeId] {
+    /// Candidate nodes whose property `k` hashes like `v`, in id order.
+    /// Callers must re-check equivalence (hash classes may collide).
+    pub fn prop_candidates(&self, k: Symbol, bucket: u64) -> Postings<'_> {
         self.props
             .get(&k)
-            .map(|b| b.candidates(bucket))
-            .unwrap_or(&[])
+            .map(|b| b.get(bucket))
+            .unwrap_or_else(Postings::empty)
     }
 
-    /// Candidate nodes with label `l` whose property `k` hashes like `v`.
-    pub fn label_prop_candidates(&self, l: Symbol, k: Symbol, bucket: u64) -> &[NodeId] {
+    /// Candidate nodes with label `l` whose property `k` hashes like `v`,
+    /// in id order.
+    pub fn label_prop_candidates(&self, l: Symbol, k: Symbol, bucket: u64) -> Postings<'_> {
         self.label_props
             .get(&(l, k))
-            .map(|b| b.candidates(bucket))
-            .unwrap_or(&[])
+            .map(|b| b.get(bucket))
+            .unwrap_or_else(Postings::empty)
     }
 
     // -- statistics ----------------------------------------------------------
 
     /// Number of nodes carrying the label.
     pub fn label_cardinality(&self, l: Symbol) -> usize {
-        self.nodes_with_label(l).len()
+        self.labels.get(&l).map_or(0, IdList::len)
     }
 
     /// Cardinality statistics of the property index for `k`.
@@ -752,38 +532,39 @@ impl IndexSet {
     /// Renders the complete index contents in a canonical, hash-map-order-
     /// independent form: labels/keys are resolved to strings through
     /// `resolve` and sorted, value buckets are sorted by bucket hash, and
-    /// posting lists appear verbatim (they are sorted by construction).
+    /// posting lists appear in id order.
     ///
     /// Two `IndexSet`s with equal dumps answer every lookup identically —
     /// this is the "bit-identical indexes" witness of the crash-recovery
     /// differential suite.
     pub fn canonical_dump(&self, resolve: &dyn Fn(Symbol) -> String, out: &mut String) {
         use std::fmt::Write;
-        let mut labels: Vec<(String, &Vec<NodeId>)> = self
+        let mut labels: Vec<(String, &IdList)> = self
             .labels
             .iter()
             .filter(|(_, v)| !v.is_empty())
-            .map(|(&l, v)| (resolve(l), &**v))
+            .map(|(&l, v)| (resolve(l), v))
             .collect();
-        labels.sort();
-        for (l, nodes) in labels {
+        labels.sort_by(|a, b| a.0.cmp(&b.0));
+        for (l, list) in labels {
+            let nodes: Vec<NodeId> = list.iter().collect();
             writeln!(out, "label-index {l}: {nodes:?}").unwrap();
         }
-        let mut props: Vec<(String, &ValueBuckets)> = self
+        let mut props: Vec<(String, &BucketTrie)> = self
             .props
             .iter()
-            .filter(|(_, b)| b.entries > 0)
-            .map(|(&k, b)| (resolve(k), &**b))
+            .filter(|(_, b)| b.entries() > 0)
+            .map(|(&k, b)| (resolve(k), b))
             .collect();
         props.sort_by(|a, b| a.0.cmp(&b.0));
         for (k, b) in props {
             writeln!(out, "prop-index {k}: {}", b.dump()).unwrap();
         }
-        let mut composite: Vec<(String, String, &ValueBuckets)> = self
+        let mut composite: Vec<(String, String, &BucketTrie)> = self
             .label_props
             .iter()
-            .filter(|(_, b)| b.entries > 0)
-            .map(|(&(l, k), b)| (resolve(l), resolve(k), &**b))
+            .filter(|(_, b)| b.entries() > 0)
+            .map(|(&(l, k), b)| (resolve(l), resolve(k), b))
             .collect();
         composite.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
         for (l, k, b) in composite {
@@ -809,22 +590,22 @@ mod tests {
         let bucket = value_bucket(&Value::str("Ada"));
 
         idx.on_node_added(n, &[person], &[(name, bucket)]);
-        assert_eq!(idx.label_prop_candidates(person, name, bucket), &[n]);
+        assert!(idx.label_prop_candidates(person, name, bucket).eq([n]));
         assert_eq!(idx.label_prop_cardinality(person, name).entries, 1);
 
         // Removing the label drops the composite entry but keeps the
         // key-only one.
         idx.on_label_removed(n, person, &[(name, bucket)]);
-        assert!(idx.label_prop_candidates(person, name, bucket).is_empty());
-        assert_eq!(idx.prop_candidates(name, bucket), &[n]);
+        assert_eq!(idx.label_prop_candidates(person, name, bucket).len(), 0);
+        assert!(idx.prop_candidates(name, bucket).eq([n]));
 
         // Re-adding the label restores it.
         idx.on_label_added(n, person, &[(name, bucket)]);
-        assert_eq!(idx.label_prop_candidates(person, name, bucket), &[n]);
+        assert!(idx.label_prop_candidates(person, name, bucket).eq([n]));
 
         idx.on_node_removed(n, &[person], &[(name, bucket)]);
-        assert!(idx.label_prop_candidates(person, name, bucket).is_empty());
-        assert!(idx.prop_candidates(name, bucket).is_empty());
+        assert_eq!(idx.label_prop_candidates(person, name, bucket).len(), 0);
+        assert_eq!(idx.prop_candidates(name, bucket).len(), 0);
         assert_eq!(idx.label_cardinality(person), 0);
     }
 

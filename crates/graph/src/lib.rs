@@ -38,6 +38,7 @@ pub mod graph;
 pub mod index;
 pub mod interner;
 pub mod path;
+mod postings;
 mod slots;
 pub mod temporal;
 pub mod value;
@@ -52,6 +53,7 @@ pub use graph::{
 pub use index::{IndexCardinality, IndexSet};
 pub use interner::{Interner, Symbol};
 pub use path::Path;
+pub use postings::Postings;
 pub use temporal::{Date, Duration, LocalDateTime, LocalTime, Temporal, ZonedDateTime};
 pub use value::{Tri, Value};
 pub use version::{GraphView, VersionedGraph, ViewRef, WriteTxn};

@@ -123,7 +123,7 @@ fn brute_label_prop(g: &PropertyGraph, label: &str, key: &str, v: &Value) -> Vec
 fn assert_indexes_match_scan(g: &PropertyGraph, when: &str) {
     for label in LABELS {
         if let Some(l) = g.interner().get(label) {
-            let mut indexed: Vec<NodeId> = g.nodes_with_label(l).to_vec();
+            let mut indexed: Vec<NodeId> = g.nodes_with_label(l).collect();
             indexed.sort_unstable();
             assert_eq!(indexed, brute_label(g, label), "label {label} ({when})");
         }
@@ -192,7 +192,7 @@ fn assert_matches_rebuild(g: &PropertyGraph) {
     for label in LABELS {
         let old: Vec<NodeId> = brute_label(g, label).into_iter().map(|n| map[&n]).collect();
         let mut rebuilt = match fresh.interner().get(label) {
-            Some(l) => fresh.nodes_with_label(l).to_vec(),
+            Some(l) => fresh.nodes_with_label(l).collect(),
             None => Vec::new(),
         };
         rebuilt.sort_unstable();
@@ -236,5 +236,142 @@ proptest! {
             assert_indexes_match_scan(&g, &format!("after op {i} = {op:?}"));
         }
         assert_matches_rebuild(&g);
+    }
+}
+
+/// Everything an index answers, rendered: the canonical dump plus every
+/// label scan, label cardinality and key cardinality, and seeks for a
+/// spread of values.
+fn index_fingerprint(g: &PropertyGraph) -> String {
+    let mut out = g.canonical_dump();
+    for label in ["P", "Q"] {
+        if let Some(l) = g.interner().get(label) {
+            let scan: Vec<NodeId> = g.nodes_with_label(l).collect();
+            out += &format!("{label}: {} {scan:?}\n", g.label_cardinality(l));
+        }
+    }
+    for key in ["k", "u"] {
+        let Some(k) = g.interner().get(key) else {
+            continue;
+        };
+        out += &format!("{key}: {:?}\n", g.prop_index_cardinality(k));
+        for v in (0..3000).step_by(37) {
+            let v = Value::int(v);
+            out += &format!("{key}={v}: {:?}\n", g.nodes_with_prop(k, &v));
+            if let Some(l) = g.interner().get("P") {
+                out += &format!(
+                    "P {key}={v}: {:?} {:?}\n",
+                    g.nodes_with_label_prop(l, k, &v),
+                    g.label_prop_index_cardinality(l, k)
+                );
+            }
+        }
+    }
+    out
+}
+
+/// One pseudorandom mutation against large postings: a unique key `u`
+/// (thousands of single-node buckets, several trie levels), a 5-valued
+/// key `k` (buckets of hundreds of ids, several list leaves) and two
+/// labels (multi-leaf lists).
+fn mutate(g: &mut PropertyGraph, nodes: &mut Vec<NodeId>, r: u64) {
+    let pick = |nodes: &[NodeId]| nodes[(r >> 20) as usize % nodes.len()];
+    let (k, u, p, q) = (g.intern("k"), g.intern("u"), g.intern("P"), g.intern("Q"));
+    let value = Value::int(((r >> 8) % 3000) as i64);
+    match r % 8 {
+        0 | 1 => {
+            let labels: &[&str] = if r & 0x100 == 0 { &["P"] } else { &["P", "Q"] };
+            let i = ((r >> 9) % 3000) as i64;
+            nodes.push(g.add_node(labels, [("k", Value::int(i % 5)), ("u", Value::int(i))]));
+        }
+        2 => g.set_node_prop(pick(nodes), u, value).unwrap(),
+        3 => g
+            .set_node_prop(pick(nodes), k, Value::int(((r >> 8) % 5) as i64))
+            .unwrap(),
+        4 => g.remove_node_prop(pick(nodes), u).unwrap(),
+        5 => g.add_label(pick(nodes), q).unwrap(),
+        6 => g
+            .remove_label(pick(nodes), if r & 0x200 == 0 { p } else { q })
+            .unwrap(),
+        _ => {
+            let n = nodes.swap_remove((r >> 20) as usize % nodes.len());
+            g.detach_delete_node(n).unwrap();
+        }
+    }
+}
+
+#[test]
+fn clones_are_frozen_snapshots_of_the_persistent_postings() {
+    for seed in [1u64, 0x5eed] {
+        let mut lcg = seed;
+        let mut next = move || {
+            lcg = lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            lcg >> 24
+        };
+        let mut g = PropertyGraph::new();
+        let mut nodes = Vec::new();
+        for i in 0..2500i64 {
+            let labels: &[&str] = if i % 3 == 0 { &["P", "Q"] } else { &["P"] };
+            nodes.push(g.add_node(labels, [("k", Value::int(i % 5)), ("u", Value::int(i))]));
+        }
+        let base = g.clone();
+        let mut stream = Vec::new();
+        // A chain of clones, each frozen while its descendants mutate.
+        let mut frozen: Vec<(PropertyGraph, String)> = Vec::new();
+        for _ in 0..8 {
+            let snap = g.clone();
+            let print = index_fingerprint(&snap);
+            frozen.push((snap, print));
+            for _ in 0..300 {
+                let r = next();
+                stream.push(r);
+                mutate(&mut g, &mut nodes, r);
+            }
+        }
+        for (i, (snap, print)) in frozen.iter().enumerate() {
+            assert!(
+                index_fingerprint(snap) == *print,
+                "seed {seed}: clone {i} changed after its descendants mutated"
+            );
+        }
+
+        // The newest graph equals a from-scratch rebuild of its contents,
+        // serial and on 4 threads.
+        let dump = g.canonical_dump();
+        for threads in [1, 4] {
+            let rebuilt = PropertyGraph::restore_with_threads(
+                g.node_slot_count(),
+                g.rel_slot_count(),
+                g.export_nodes(),
+                g.export_rels(),
+                threads,
+            )
+            .unwrap();
+            assert_eq!(
+                rebuilt.canonical_dump(),
+                dump,
+                "seed {seed}: rebuild on {threads}"
+            );
+            assert_eq!(index_fingerprint(&rebuilt), index_fingerprint(&g));
+        }
+
+        // Replaying the same stream with deferred index upkeep, applied in
+        // bulk on 4 threads onto the populated base, equals incremental
+        // maintenance.
+        let mut bulk = base;
+        let mut bulk_nodes: Vec<NodeId> = (0..2500).map(NodeId).collect();
+        bulk.begin_bulk_index_maintenance();
+        for &r in &stream {
+            mutate(&mut bulk, &mut bulk_nodes, r);
+        }
+        bulk.finish_bulk_index_maintenance(4);
+        assert_eq!(
+            bulk.canonical_dump(),
+            dump,
+            "seed {seed}: deferred 4-thread apply"
+        );
+        assert_eq!(index_fingerprint(&bulk), index_fingerprint(&g));
     }
 }

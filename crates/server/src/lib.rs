@@ -353,13 +353,19 @@ impl Server {
         while self.shared.connections.load(Ordering::Relaxed) > 0 {
             std::thread::yield_now();
         }
-        // The accept loop and all connections are gone: this handle
-        // holds the last strong reference besides ours.
-        let shared = Arc::clone(&self.shared);
+        // The accept loop and all connections are gone. A connection
+        // thread lowers the count in its guard's drop, a moment before
+        // its own `Arc` goes: wait out that window for the last one.
+        let mut shared = Arc::clone(&self.shared);
         drop(self);
-        match Arc::try_unwrap(shared) {
-            Ok(s) => s.db,
-            Err(_) => unreachable!("all server threads have exited"),
+        loop {
+            match Arc::try_unwrap(shared) {
+                Ok(s) => return s.db,
+                Err(s) => {
+                    shared = s;
+                    std::thread::yield_now();
+                }
+            }
         }
     }
 }

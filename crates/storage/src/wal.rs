@@ -378,7 +378,7 @@ pub fn replay(path: &Path, graph: &mut PropertyGraph) -> Result<ReplaySummary, S
 }
 
 /// [`replay`] with an index-maintenance thread budget: large replays
-/// defer index upkeep and fan it out across shards at the end (see
+/// defer index upkeep and fan it out across posting units at the end (see
 /// `PropertyGraph::finish_bulk_index_maintenance`), which is
 /// state-identical to incremental maintenance because deferred ops are
 /// applied per disjoint posting unit in emission order.

@@ -45,7 +45,7 @@ fn audit(g: &PropertyGraph) {
     // Label index ↔ λ agreement, both directions.
     let labels: Vec<_> = g.interner().iter().map(|(s, _)| s).collect();
     for l in labels {
-        for &n in g.nodes_with_label(l) {
+        for n in g.nodes_with_label(l) {
             assert!(g.contains_node(n), "indexed node is live");
             assert!(g.has_label(n, l), "indexed node carries the label");
         }
@@ -54,7 +54,7 @@ fn audit(g: &PropertyGraph) {
     for n in g.nodes() {
         for &l in g.labels(n) {
             assert!(
-                g.nodes_with_label(l).contains(&n),
+                g.nodes_with_label(l).any(|m| m == n),
                 "labelled node is indexed"
             );
         }

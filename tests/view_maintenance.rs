@@ -16,15 +16,23 @@
 //!   version equals the pinned cold re-evaluation;
 //! * **TCP subscription replay** — a remote subscriber's `ViewChange`
 //!   frames, applied in version order to the subscribe-time contents,
-//!   must reproduce the final maintained table bit-for-bag.
+//!   must reproduce the final maintained table bit-for-bag;
+//! * **Group churn** — aggregate views (ordered ones included) whose
+//!   groups die and come back: every publication must equal the state's
+//!   full finalization and a cold re-run, and every subscription frame —
+//!   built from the changed groups alone — must equal the bag difference
+//!   of consecutive publications.
 //!
 //! The engine knobs (threads, morsel size, group commit) come from the
 //! environment via `EngineConfig::default()`, so CI can sweep the
 //! matrix without code changes.
 
 use cypher::workload::QueryGenerator;
-use cypher::{Database, EngineConfig, Params, Record, Session, Table};
+use cypher::EvalContext;
+use cypher::{parse_query, Database, EngineConfig, Params, PropertyGraph, Record, Schema, Session};
+use cypher::{Table, Value};
 use cypher_client::Client;
+use cypher_core::project::{GroupedAggState, ProjectionPlan};
 use cypher_server::{Server, ServerConfig};
 use std::time::Duration;
 
@@ -304,4 +312,201 @@ fn tcp_subscription_frames_replay_to_the_maintained_table() {
 
     drop(writer);
     server.shutdown();
+}
+
+/// The bag difference `(new − old, old − new)` of two tables, by Cypher
+/// equivalence — the reference a subscription frame must equal.
+fn bag_diff(old: &Table, new: &Table) -> (Vec<Record>, Vec<Record>) {
+    let mut removed: Vec<Record> = old.rows().to_vec();
+    let mut added = Vec::new();
+    for r in new.rows() {
+        match removed.iter().position(|o| o.equivalent(r)) {
+            Some(at) => {
+                removed.swap_remove(at);
+            }
+            None => added.push(r.clone()),
+        }
+    }
+    (added, removed)
+}
+
+fn rows_bag_eq(schema: &std::sync::Arc<Schema>, a: Vec<Record>, b: Vec<Record>) -> bool {
+    Table::new(schema.clone(), a).bag_eq(&Table::new(schema.clone(), b))
+}
+
+#[test]
+fn published_group_rows_track_finalization_under_group_churn() {
+    let graph = PropertyGraph::new();
+    let params = Params::new();
+    let ctx = EvalContext::new(&graph, &params);
+    let src = Schema::new(vec!["g".into(), "x".into()]);
+    for ret in [
+        "RETURN g AS g, count(*) AS c, sum(x) AS s",
+        "RETURN DISTINCT g AS g",
+        "RETURN count(*) AS c, sum(x) AS s",
+    ] {
+        let q = parse_query(&format!("MATCH (n) {ret}")).unwrap();
+        let cypher::ast::query::Query::Single(sq) = q else {
+            unreachable!()
+        };
+        let plan = ProjectionPlan::compile(sq.ret.as_ref().unwrap(), &src).unwrap();
+        let out = plan.out_schema().clone();
+        let mut state = GroupedAggState::new(false);
+        let mut live: Vec<Record> = Vec::new();
+        let mut prev = Table::empty(out.clone());
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        for step in 0..600 {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let r = rng >> 33;
+            // Few keys, frequent full retraction: groups die and return.
+            let n = 1 + (r % 3) as usize;
+            for k in 0..n {
+                let retract = !live.is_empty() && (r >> (8 + k)).is_multiple_of(2);
+                if retract {
+                    let victim = live.swap_remove((r as usize >> 12) % live.len());
+                    assert!(state.retract(&ctx, &plan, &src, &victim).unwrap());
+                } else {
+                    let g = ((r >> (16 + k)) % 5) as i64;
+                    let row = Record::new(vec![Value::int(g), Value::int(step)]);
+                    state.feed(&ctx, &plan, &src, &row).unwrap();
+                    live.push(row);
+                }
+            }
+            let published = state.publish(&ctx, &plan, &src).unwrap();
+            let table = published.rows.to_table(out.clone());
+            let full = state.finalize_snapshot(&ctx, &plan, &src).unwrap();
+            assert!(
+                table.bag_eq(&full),
+                "{ret} step {step}: publication != finalization\n{table}\n{full}"
+            );
+            let (added, removed) = bag_diff(&prev, &table);
+            assert!(
+                rows_bag_eq(&out, published.added, added),
+                "{ret} step {step}: added rows differ from the table diff"
+            );
+            assert!(
+                rows_bag_eq(&out, published.removed, removed),
+                "{ret} step {step}: removed rows differ from the table diff"
+            );
+            prev = table;
+        }
+        assert!(state.group_count() <= 5, "{ret}: tombstones leaked");
+    }
+}
+
+#[test]
+fn subscription_frames_are_publication_diffs_under_group_churn() {
+    let params = Params::new();
+    let db = Database::open_with(memory_cfg()).unwrap();
+    let mut session = db.session();
+    session
+        .query(
+            "UNWIND range(0, 39) AS i CREATE (:G {i: i, g: i % 4, x: i})",
+            &params,
+        )
+        .unwrap();
+    let views = [
+        (
+            "by_g",
+            "MATCH (n:G) RETURN n.g AS g, count(*) AS c, sum(n.x) AS s",
+            vec![],
+        ),
+        (
+            "by_g_ordered",
+            "MATCH (n:G) RETURN n.g AS g, count(*) AS c ORDER BY c DESC, g",
+            vec![(1, false), (0, true)],
+        ),
+        (
+            "distinct_g",
+            "MATCH (n:G) RETURN DISTINCT n.g AS g ORDER BY g DESC",
+            vec![(0, false)],
+        ),
+        (
+            "total",
+            "MATCH (n:G) RETURN count(*) AS c, sum(n.x) AS s",
+            vec![],
+        ),
+    ];
+    let mut subs = Vec::new();
+    for (name, query, _) in &views {
+        db.create_view(name, query).unwrap();
+        assert!(
+            db.explain_view(name)
+                .unwrap()
+                .contains("grouped-aggregate fold"),
+            "{name} must be delta-maintained"
+        );
+        subs.push((db.subscribe(name).unwrap(), session.view(name).unwrap()));
+    }
+    let mut rng = 0x2545_f491_4f6c_dd1du64;
+    let mut fresh = 40;
+    for step in 0..150 {
+        rng = rng
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let r = rng >> 33;
+        let g = (r % 9) as i64;
+        let g2 = ((r >> 8) % 9) as i64;
+        // Moves, deletions and label removals empty whole groups; creates
+        // bring keys back (and new ones up to 8).
+        let u = match (r >> 16) % 5 {
+            0 => format!("MATCH (n:G) WHERE n.g = {g} SET n.g = {g2}"),
+            1 => format!("MATCH (n:G) WHERE n.g = {g} DETACH DELETE n"),
+            2 => format!("MATCH (n:G) WHERE n.g = {g} REMOVE n:G"),
+            _ => {
+                fresh += 3;
+                format!(
+                    "UNWIND range({fresh}, {}) AS i CREATE (:G {{i: i, g: {g}, x: i}})",
+                    fresh + 2
+                )
+            }
+        };
+        session.query(&u, &params).unwrap();
+        for ((name, query, order), (sub, prev)) in views.iter().zip(subs.iter_mut()) {
+            let now = session.view(name).unwrap();
+            let cold = session.query(query, &params).unwrap();
+            assert!(
+                now.bag_eq(&cold),
+                "{name} after {u:?}: maintained\n{now}\ncold\n{cold}"
+            );
+            let sorted = now.rows().windows(2).all(|w| {
+                order
+                    .iter()
+                    .map(|&(col, asc): &(usize, bool)| {
+                        let o = w[0].get(col).cmp_order(w[1].get(col));
+                        if asc {
+                            o
+                        } else {
+                            o.reverse()
+                        }
+                    })
+                    .find(|o| o.is_ne())
+                    .is_none_or(|o| o.is_lt())
+            });
+            assert!(sorted, "{name} after {u:?}: not in ORDER BY order\n{now}");
+            let (added, removed) = bag_diff(prev, &now);
+            if added.is_empty() && removed.is_empty() {
+                assert!(
+                    sub.try_next().is_none(),
+                    "{name} step {step}: frame for an unchanged table"
+                );
+            } else {
+                let frame = sub
+                    .next_timeout(Duration::from_secs(5))
+                    .unwrap_or_else(|| panic!("{name} step {step}: no frame for {u:?}"));
+                let schema = now.schema();
+                assert!(
+                    rows_bag_eq(schema, frame.added.rows().to_vec(), added),
+                    "{name} after {u:?}: frame added rows != publication diff"
+                );
+                assert!(
+                    rows_bag_eq(schema, frame.removed.rows().to_vec(), removed),
+                    "{name} after {u:?}: frame removed rows != publication diff"
+                );
+            }
+            *prev = now;
+        }
+    }
 }
