@@ -2,10 +2,10 @@
 //! query.
 //!
 //! A 100k-node graph of `Account` nodes answers the scan+filter query
-//! `MATCH (n:Account) WHERE n.serial = … RETURN n.shard` — the `WHERE`
-//! form keeps the property predicate out of the planner's index seeks, so
-//! every configuration walks all 100k `Account` rows and the work is pure
-//! pipeline throughput. Series:
+//! `MATCH (n:Account) WHERE n.serial >= … RETURN n.shard` — a range
+//! predicate has no index to seek (an equality would fold into a
+//! `PropertyIndexSeek`), so every configuration walks all 100k `Account`
+//! rows and the work is pure pipeline throughput. Series:
 //!
 //! * `threads/1` — the classic sequential executor (no dispatch at all);
 //! * `threads/2`, `threads/4` — the same plan with its source partitioned
@@ -32,7 +32,7 @@ use std::time::Instant;
 static ALLOC: cypher_bench::CountingAlloc = cypher_bench::CountingAlloc;
 
 const NODES: usize = 100_000;
-const SCAN_QUERY: &str = "MATCH (n:Account) WHERE n.serial = 99999 RETURN n.shard";
+const SCAN_QUERY: &str = "MATCH (n:Account) WHERE n.serial >= 99999 RETURN n.shard";
 const AGG_QUERY: &str = "MATCH (n:Account) WHERE n.shard >= 8 RETURN count(*) AS c";
 
 fn build_graph() -> PropertyGraph {

@@ -1,8 +1,9 @@
 //! Plan memoization for repeated queries.
 //!
 //! A [`PlanMemo`] caches the compiled [`PlannedMatch`] of every `MATCH`
-//! clause of one query, keyed by the clause's position **and** the driving
-//! schema it was planned against (schemas are deterministic per query, but
+//! clause of one query (its `WHERE` included — a site's `WHERE` is fixed),
+//! keyed by the clause's position **and** the driving schema it was
+//! planned against (schemas are deterministic per query, but
 //! keying by the actual runtime schema makes a stale or mispredicted entry
 //! impossible — a mismatch is simply a miss and the clause replans).
 //!
@@ -17,8 +18,12 @@
 //! coarse invalidation is safe by construction.
 
 use crate::exec::EngineConfig;
-use crate::planner::{plan_match, PlannedMatch, PlannerMode, PlannerOptions, WcoJoinMode};
+use crate::planner::{
+    plan_match, plan_match_whole_where, PlannedMatch, PlannerMode, PlannerOptions, WcoJoinMode,
+};
+use cypher_ast::expr::Expr;
 use cypher_ast::pattern::PathPattern;
+use cypher_core::Params;
 use cypher_graph::{PropertyGraph, ViewRef};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -62,6 +67,7 @@ impl PlanMemo {
         view: ViewRef<'_>,
         fields: &[String],
         patterns: &[PathPattern],
+        where_: Option<&Expr>,
         opts: PlannerOptions,
     ) -> Arc<PlannedMatch> {
         let key = (site, fields.to_vec());
@@ -74,24 +80,34 @@ impl PlanMemo {
         }
         self.misses
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let planned = Arc::new(plan_match(view, fields, patterns, opts));
+        let planned = Arc::new(plan_match(view, fields, patterns, where_, opts));
         self.slots.lock().unwrap().insert(key, Arc::clone(&planned));
         planned
     }
 }
 
 /// Plans for `(site, fields)` against the given snapshot — through the
-/// memo when one is installed, directly otherwise.
+/// memo when one is installed, directly otherwise. A plan whose moved
+/// `WHERE` conjuncts read a parameter `params` lacks is replaced (uncached)
+/// by one that keeps the `WHERE` whole, so the missing parameter raises
+/// exactly where the reference evaluator raises it.
 pub(crate) fn plan_match_memo(
     memo: Option<(&PlanMemo, MemoSite)>,
     view: ViewRef<'_>,
     fields: &[String],
     patterns: &[PathPattern],
+    where_: Option<&Expr>,
+    params: &Params,
     opts: PlannerOptions,
 ) -> Arc<PlannedMatch> {
-    match memo {
-        Some((m, site)) => m.get_or_plan(site, view, fields, patterns, opts),
-        None => Arc::new(plan_match(view, fields, patterns, opts)),
+    let planned = match memo {
+        Some((m, site)) => m.get_or_plan(site, view, fields, patterns, where_, opts),
+        None => Arc::new(plan_match(view, fields, patterns, where_, opts)),
+    };
+    if planned.where_params.iter().all(|p| params.contains_key(p)) {
+        planned
+    } else {
+        Arc::new(plan_match_whole_where(view, fields, patterns, where_, opts))
     }
 }
 

@@ -14,7 +14,6 @@
 
 use crate::cache::{plan_match_memo, MemoSite, PlanMemo};
 use crate::ops::{run_plan, run_plan_profiled, ExecOptions, DEFAULT_MORSEL_SIZE};
-use crate::plan::PlanStep;
 use crate::planner::{plan_match, PlannedMatch, PlannerMode, PlannerOptions, WcoJoinMode};
 use crate::pushdown::{ret_pushdown, try_fused_match_projection, FusedOutcome, PushdownKind};
 use crate::update;
@@ -774,9 +773,17 @@ fn exec_fused_final(
     ret: &Return,
     t: Table,
 ) -> FusedOutcome {
-    let planned = plan_match_memo(memo, view, table_names(&t), patterns, cfg.planner_options());
+    let planned = plan_match_memo(
+        memo,
+        view,
+        table_names(&t),
+        patterns,
+        where_,
+        params,
+        cfg.planner_options(),
+    );
     let ctx = EvalContext::new(view.graph(), params).with_config(cfg.match_config);
-    try_fused_match_projection(&ctx, cfg, &planned, where_, ret, t)
+    try_fused_match_projection(&ctx, cfg, &planned, ret, t)
 }
 
 fn table_names(t: &Table) -> &[String] {
@@ -1006,7 +1013,6 @@ pub fn exec_match<'a>(
 /// the step above it wraps only the unmeasured table re-scan).
 fn clause_profile(
     label: &str,
-    steps: &[PlanStep],
     plan: &crate::plan::MatchPlan,
     prof: crate::ops::PlanProfile,
 ) -> ClauseProfile {
@@ -1017,16 +1023,9 @@ fn clause_profile(
         } else {
             prof.steps[i - 1].nanos
         };
-        // The appended WHERE filter has no planner entry; its estimate
-        // is the plan's final cardinality.
-        let est = plan
-            .step_estimates
-            .get(i)
-            .copied()
-            .unwrap_or(plan.estimated_rows);
         operators.push(OpProfile {
-            operator: steps[i].to_string(),
-            estimated_rows: est,
+            operator: plan.steps[i].to_string(),
+            estimated_rows: plan.step_estimates[i],
             rows: st.rows,
             batches: st.batches,
             time_us: st.nanos.saturating_sub(nested) / 1_000,
@@ -1090,22 +1089,21 @@ fn exec_match_memo(
             view,
             table.schema().names(),
             patterns,
+            where_,
+            params,
             cfg.planner_options(),
         );
-        let mut steps = planned.plan.steps.clone();
-        if let Some(p) = where_ {
-            steps.push(PlanStep::FilterExpr { pred: p.clone() });
-        }
+        let steps = &planned.plan.steps;
         let driving: Vec<String> = table.schema().names().to_vec();
         let raw = match profile {
             Some(prof_out) => {
-                let (raw, pp) = run_plan_profiled(&ctx, &steps, table, cfg.exec_options())?;
-                prof_out.push(clause_profile(label, &steps, &planned.plan, pp));
+                let (raw, pp) = run_plan_profiled(&ctx, steps, table, cfg.exec_options())?;
+                prof_out.push(clause_profile(label, &planned.plan, pp));
                 raw
             }
             None => run_plan(
                 &ctx,
-                &steps,
+                steps,
                 table,
                 cfg.exec_options(),
                 cfg.exec_metrics.as_deref(),
@@ -1115,7 +1113,7 @@ fn exec_match_memo(
     }
 
     // OPTIONAL MATCH: tag each driving row with a hidden index, run the
-    // pipeline (including the WHERE, per Figure 7), then null-pad inputs
+    // pipeline (its plan holds the WHERE, per Figure 7), then null-pad inputs
     // that produced nothing.
     let idx_col = " opt_idx".to_string();
     let mut tagged_schema = table.schema().clone();
@@ -1131,21 +1129,20 @@ fn exec_match_memo(
         view,
         tagged_schema.names(),
         patterns,
+        where_,
+        params,
         cfg.planner_options(),
     );
-    let mut steps = planned.plan.steps.clone();
-    if let Some(p) = where_ {
-        steps.push(PlanStep::FilterExpr { pred: p.clone() });
-    }
+    let steps = &planned.plan.steps;
     let raw = match profile {
         Some(prof_out) => {
-            let (raw, pp) = run_plan_profiled(&ctx, &steps, tagged, cfg.exec_options())?;
-            prof_out.push(clause_profile(label, &steps, &planned.plan, pp));
+            let (raw, pp) = run_plan_profiled(&ctx, steps, tagged, cfg.exec_options())?;
+            prof_out.push(clause_profile(label, &planned.plan, pp));
             raw
         }
         None => run_plan(
             &ctx,
-            &steps,
+            steps,
             tagged,
             cfg.exec_options(),
             cfg.exec_metrics.as_deref(),
@@ -1228,10 +1225,17 @@ pub fn explain<'a>(view: impl Into<ViewRef<'a>>, q: &Query, cfg: &EngineConfig) 
                 for (i, clause) in sq.clauses.iter().enumerate() {
                     match clause {
                         Clause::Match {
-                            patterns, optional, ..
+                            patterns,
+                            optional,
+                            where_,
                         } => {
-                            let PlannedMatch { plan, new_vars } =
-                                plan_match(view, &fields, patterns, cfg.planner_options());
+                            let PlannedMatch { plan, new_vars, .. } = plan_match(
+                                view,
+                                &fields,
+                                patterns,
+                                where_.as_ref(),
+                                cfg.planner_options(),
+                            );
                             out.push_str(if *optional {
                                 "OPTIONAL MATCH plan:\n"
                             } else {
@@ -1693,5 +1697,75 @@ mod tests {
         let off =
             execute_read(&g, &q, &params, &EngineConfig::default().without_indexes()).unwrap();
         assert!(on.bag_eq(&off));
+    }
+
+    fn follows_chain(n: i64) -> PropertyGraph {
+        let mut g = PropertyGraph::new();
+        let mut prev = None;
+        for i in 0..n {
+            let node = g.add_node(&["Person"], [("i", Value::int(i))]);
+            if let Some(p) = prev {
+                g.add_rel(p, node, "FOLLOWS", []).unwrap();
+            }
+            prev = Some(node);
+        }
+        g
+    }
+
+    #[test]
+    fn explain_shows_the_pushed_where_under_its_anchor() {
+        let g = follows_chain(50);
+        let q = parse_query(
+            "MATCH (a:Person)-[:FOLLOWS]->(b)-[:FOLLOWS]->(c) WHERE a.i < 2000 \
+             RETURN count(*) AS c",
+        )
+        .unwrap();
+        let plan = explain(&g, &q, &EngineConfig::default());
+        let lines: Vec<&str> = plan.lines().collect();
+        let scan = lines
+            .iter()
+            .position(|l| l.starts_with("NodeIndexScan(a:Person)  (est rows: "))
+            .unwrap_or_else(|| panic!("{plan}"));
+        assert!(
+            lines[scan + 1].starts_with(" Filter((a.i < 2000))  (est rows: 5.0)"),
+            "{plan}"
+        );
+        // PROFILE runs the same plan and returns the same rows.
+        let params = Params::new();
+        let (profiled, prof) = profile_read(&g, &q, &params, &EngineConfig::default()).unwrap();
+        assert!(
+            profiled.ordered_eq(&execute_read(&g, &q, &params, &EngineConfig::default()).unwrap())
+        );
+        assert_eq!(
+            prof.clauses[0].operators[1].operator,
+            "Filter((a.i < 2000))"
+        );
+        assert_eq!(prof.clauses[0].operators[1].rows, 50);
+    }
+
+    #[test]
+    fn fused_aggregates_count_their_morsels_and_parallel_runs() {
+        let g = follows_chain(100);
+        let metrics = std::sync::Arc::new(crate::ops::ExecMetrics::default());
+        let cfg = EngineConfig {
+            exec_metrics: Some(metrics.clone()),
+            partial_agg: PartialAggMode::Auto,
+            ..EngineConfig::default()
+        }
+        .with_threads(2)
+        .with_morsel_size(16);
+        let q = parse_query("MATCH (a:Person)-[:FOLLOWS]->(b) RETURN count(*) AS c").unwrap();
+        let out = execute_read(&g, &q, &Params::new(), &cfg).unwrap();
+        assert_eq!(out.cell(0, "c"), Some(&Value::int(99)));
+        // 100 scanned persons in morsels of 16.
+        assert_eq!(metrics.parallel_runs.get(), 1);
+        assert_eq!(metrics.morsels.get(), 7);
+        assert_eq!(metrics.rows.get(), 99);
+        // The sequential fold counts one morsel and no parallel run.
+        let seq = cfg.clone().with_threads(1);
+        execute_read(&g, &q, &Params::new(), &seq).unwrap();
+        assert_eq!(metrics.parallel_runs.get(), 1);
+        assert_eq!(metrics.morsels.get(), 8);
+        assert_eq!(metrics.rows.get(), 198);
     }
 }

@@ -144,6 +144,24 @@ pub struct ExecMetrics {
     pub intersect_rows: Counter,
 }
 
+/// Records one finished `MATCH` pipeline run — the table-producing
+/// [`run_plan`] and the fused projection fold alike: the morsels executed,
+/// the pipeline rows they produced, and whether the worker pool ran them.
+pub(crate) fn record_run(
+    metrics: Option<&ExecMetrics>,
+    morsels: usize,
+    rows: usize,
+    parallel: bool,
+) {
+    if let Some(m) = metrics {
+        m.morsels.add(morsels as u64);
+        m.rows.add(rows as u64);
+        if parallel {
+            m.parallel_runs.inc();
+        }
+    }
+}
+
 /// Measured totals of one plan step across a profiled run: every batch
 /// the operator emitted, every row in those batches, and the wall time
 /// spent inside its `next_batch` (inclusive of its children — the
@@ -282,11 +300,7 @@ pub fn run_plan<'a>(
             );
             match run {
                 Ok(t) => {
-                    if let Some(m) = metrics {
-                        m.morsels.add(total.div_ceil(morsel) as u64);
-                        m.rows.add(t.len() as u64);
-                        m.parallel_runs.inc();
-                    }
+                    record_run(metrics, total.div_ceil(morsel), t.len(), true);
                     return Ok(t);
                 }
                 Err(_) => { /* canonical error from the sequential re-run */ }
@@ -294,18 +308,12 @@ pub fn run_plan<'a>(
         }
         let pipeline = build_prepared(ctx, steps, &prepared, input, morsel, metrics)?;
         let t = run_to_table(pipeline)?;
-        if let Some(m) = metrics {
-            m.morsels.inc();
-            m.rows.add(t.len() as u64);
-        }
+        record_run(metrics, 1, t.len(), false);
         return Ok(t);
     }
     let pipeline = build_pipeline(ctx, steps, input, morsel, metrics)?;
     let t = run_to_table(pipeline)?;
-    if let Some(m) = metrics {
-        m.morsels.inc();
-        m.rows.add(t.len() as u64);
-    }
+    record_run(metrics, 1, t.len(), false);
     Ok(t)
 }
 

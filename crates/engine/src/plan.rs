@@ -153,8 +153,9 @@ pub enum PlanStep {
         /// Relationship columns that must differ from `rel`.
         exclude: Vec<Col>,
     },
-    /// Keep rows where a general predicate is `true` (the `WHERE` of the
-    /// clause).
+    /// Keep rows where a general predicate is `true`: one conjunct of the
+    /// clause's `WHERE`, placed after the step binding its variables, or
+    /// the whole `WHERE` after the last step (see `crate::planner`).
     FilterExpr {
         /// The predicate.
         pred: Expr,

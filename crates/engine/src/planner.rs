@@ -26,11 +26,25 @@
 //! pre-bound, and [`crate::ops::run_plan`] partitions exactly that source
 //! into morsels for the worker pool. Picking the cheapest anchor therefore
 //! also picks the smallest work list to split.
+//!
+//! The clause's `WHERE` is part of planning (paper Section 4: `MATCH …
+//! WHERE` is one clause). It is split into conjuncts; when every conjunct
+//! *cannot raise* (see `prepare_where`), label tests and constant
+//! equalities fold into the node patterns — where they compete as anchors
+//! like inline `{k: …}` maps — and every other conjunct becomes a
+//! `FilterExpr` placed right after the first step that binds all of its
+//! variables. Otherwise the whole `WHERE` is one filter after the last step.
 
 use crate::plan::{IntersectGuard, MatchPlan, PathElem, PlanStep};
-use cypher_ast::expr::Expr;
+use cypher_ast::expr::{CmpOp, Expr, Literal};
 use cypher_ast::pattern::{Dir, NodePattern, PathPattern, RelPattern};
 use cypher_graph::{PropertyGraph, ViewRef};
+use std::borrow::Cow;
+
+/// The cost model's selectivity for a `WHERE` filter that no index
+/// statistic prices (equalities on node properties fold into seeks and are
+/// priced by the index statistics instead).
+const DEFAULT_SELECTIVITY: f64 = 0.1;
 
 /// Constant property values the planner may look up in the property
 /// index: literals or parameters (anything not depending on the row).
@@ -113,6 +127,18 @@ pub struct PlannedMatch {
     pub plan: MatchPlan,
     /// New visible columns appended to the driving table.
     pub new_vars: Vec<String>,
+    /// Parameters read by `WHERE` conjuncts the planner moved or folded.
+    /// Moving them assumed they cannot raise, which holds only while each
+    /// is bound; the executor replans with the `WHERE` kept whole when one
+    /// is missing.
+    pub where_params: Vec<String>,
+}
+
+/// One pushed `WHERE` conjunct, waiting for its variables to be bound.
+#[derive(Clone)]
+struct PendingFilter {
+    pred: Expr,
+    vars: Vec<String>,
 }
 
 struct PlanCtx<'a> {
@@ -124,6 +150,11 @@ struct PlanCtx<'a> {
     rel_cols: Vec<String>,
     anon_counter: usize,
     est_rows: f64,
+    /// Pushed conjuncts not yet placed.
+    filters: Vec<PendingFilter>,
+    /// While set, ready conjuncts wait: a path whose steps may raise is
+    /// still to be planned, and those steps must see every row.
+    held: bool,
 }
 
 /// The index access the planner selected for a start node, with its
@@ -146,6 +177,25 @@ impl PlanCtx<'_> {
 
     fn is_bound(&self, name: &str) -> bool {
         self.bound.iter().any(|b| b == name)
+    }
+
+    /// Emits every pending conjunct whose variables are all bound, in
+    /// `WHERE` order. Called after each scan, seek, expand and intersect
+    /// (with its pattern filters) — never after an `Argument`.
+    fn place_filters(&mut self) {
+        if self.held {
+            return;
+        }
+        let mut i = 0;
+        while i < self.filters.len() {
+            if self.filters[i].vars.iter().all(|v| self.is_bound(v)) {
+                let f = self.filters.remove(i);
+                self.est_rows *= DEFAULT_SELECTIVITY;
+                self.emit(PlanStep::FilterExpr { pred: f.pred });
+            } else {
+                i += 1;
+            }
+        }
     }
 
     fn bind(&mut self, name: &str) {
@@ -293,20 +343,47 @@ impl PlanCtx<'_> {
     }
 }
 
-/// Plans one `MATCH` clause over the given driving-table fields.
+/// Plans one `MATCH … [WHERE …]` clause over the given driving-table
+/// fields.
 ///
 /// `view` is the snapshot whose statistics drive anchor/seek selection —
 /// a [`cypher_graph::GraphView`] from a versioned session or a plain
 /// `&PropertyGraph` borrow. `opts` accepts a bare [`PlannerMode`] (index
-/// usage defaults to on) or full [`PlannerOptions`].
+/// usage defaults to on) or full [`PlannerOptions`]. The returned plan
+/// already holds the clause's `WHERE`; ARCHITECTURE.md ("`WHERE` is part of
+/// planning") gives the rules.
 pub fn plan_match<'a>(
     view: impl Into<ViewRef<'a>>,
     driving_fields: &[String],
     patterns: &[PathPattern],
+    where_: Option<&Expr>,
     opts: impl Into<PlannerOptions>,
 ) -> PlannedMatch {
-    let opts = opts.into();
-    let graph = view.into().graph();
+    let prepared = prepare_where(patterns, driving_fields, where_);
+    plan_prepared(view.into().graph(), driving_fields, prepared, opts.into())
+}
+
+/// [`plan_match`] with the `WHERE` kept whole as one filter after the last
+/// step — for a clause whose moved conjuncts would read an unbound
+/// parameter (see [`PlannedMatch::where_params`]).
+pub(crate) fn plan_match_whole_where(
+    view: ViewRef<'_>,
+    driving_fields: &[String],
+    patterns: &[PathPattern],
+    where_: Option<&Expr>,
+    opts: PlannerOptions,
+) -> PlannedMatch {
+    let prepared = PreparedWhere::whole(patterns, where_);
+    plan_prepared(view.graph(), driving_fields, prepared, opts)
+}
+
+fn plan_prepared(
+    graph: &PropertyGraph,
+    driving_fields: &[String],
+    prepared: PreparedWhere<'_>,
+    opts: PlannerOptions,
+) -> PlannedMatch {
+    let patterns: &[PathPattern] = &prepared.patterns;
     let new_ctx = || PlanCtx {
         graph,
         opts,
@@ -316,25 +393,33 @@ pub fn plan_match<'a>(
         rel_cols: Vec::new(),
         anon_counter: 0,
         est_rows: 1.0,
+        filters: prepared.filters.clone(),
+        held: prepared.barrier.is_some(),
     };
 
     // The classic plan: each path independently, anchor + expand chain
     // (or the cartesian baseline).
     let mut ctx = new_ctx();
-    for pat in patterns {
+    for (i, pat) in patterns.iter().enumerate() {
         let all_single = pat.rel_patterns().all(|r| r.range.is_single());
         if opts.mode == PlannerMode::CartesianJoin && all_single && !pat.steps.is_empty() {
             plan_path_cartesian(&mut ctx, pat);
         } else {
             plan_path_expand(&mut ctx, pat);
         }
+        if prepared.barrier == Some(i) {
+            ctx.held = false;
+            ctx.place_filters();
+        }
     }
-    let chain = finish_plan(ctx, driving_fields);
+    let chain = finish_plan(ctx, driving_fields, &prepared);
 
     // The worst-case-optimal alternative: when the pattern's join graph
     // is cyclic (and eligible), plan the whole `MATCH` by variable
     // elimination, binding cycle-closing variables with one multiway
-    // intersection instead of expand + filter.
+    // intersection instead of expand + filter. (Eligibility excludes
+    // pre-bound variables and computed properties, so no path may raise
+    // and no conjunct is held.)
     if opts.mode != PlannerMode::ExpandBased || opts.wco_join == WcoJoinMode::Off {
         return chain;
     }
@@ -343,7 +428,7 @@ pub fn plan_match<'a>(
         return chain;
     };
     plan_wco(&mut wco_ctx, &vertices, &edges);
-    let wco = finish_plan(wco_ctx, driving_fields);
+    let wco = finish_plan(wco_ctx, driving_fields, &prepared);
     match opts.wco_join {
         WcoJoinMode::Force => wco,
         // The decision metric is the *peak* estimated intermediate
@@ -361,8 +446,23 @@ pub fn plan_match<'a>(
 }
 
 /// Packages a finished planning context, separating the visible new
-/// variables from hidden (space-prefixed) columns.
-fn finish_plan(ctx: PlanCtx<'_>, driving_fields: &[String]) -> PlannedMatch {
+/// variables from hidden (space-prefixed) columns. Conjuncts still pending
+/// (ones reading no variable, in a plan with no binding step) and a whole
+/// `WHERE` go after the last step.
+fn finish_plan(
+    mut ctx: PlanCtx<'_>,
+    driving_fields: &[String],
+    prepared: &PreparedWhere<'_>,
+) -> PlannedMatch {
+    let rest = std::mem::take(&mut ctx.filters);
+    for pred in rest
+        .into_iter()
+        .map(|f| f.pred)
+        .chain(prepared.whole.iter().cloned())
+    {
+        ctx.est_rows *= DEFAULT_SELECTIVITY;
+        ctx.emit(PlanStep::FilterExpr { pred });
+    }
     let new_vars: Vec<String> = ctx
         .bound
         .iter()
@@ -376,6 +476,7 @@ fn finish_plan(ctx: PlanCtx<'_>, driving_fields: &[String]) -> PlannedMatch {
             step_estimates: ctx.step_est,
         },
         new_vars,
+        where_params: prepared.params.clone(),
     }
 }
 
@@ -427,6 +528,7 @@ fn emit_start(ctx: &mut PlanCtx<'_>, col: &str, chi: &NodePattern) {
         // `=` semantics exact (the index answers *equivalence* queries,
         // which differ from `=` on numerics vs nulls).
         emit_node_filters(ctx, col, chi, scanned_label.as_deref());
+        ctx.place_filters();
         return;
     }
     if chi.labels.is_empty() || !ctx.opts.use_label_index {
@@ -450,6 +552,7 @@ fn emit_start(ctx: &mut PlanCtx<'_>, col: &str, chi: &NodePattern) {
         ctx.bind(col);
         emit_node_filters(ctx, col, chi, Some(&best));
     }
+    ctx.place_filters();
 }
 
 /// Label/property filters for a node column; `scanned_label` was already
@@ -539,6 +642,7 @@ fn emit_expand(
             props: rho.props.clone(),
         });
     }
+    ctx.place_filters();
 }
 
 fn plan_path_expand(ctx: &mut PlanCtx<'_>, pat: &PathPattern) {
@@ -627,6 +731,7 @@ fn plan_path_cartesian(ctx: &mut PlanCtx<'_>, pat: &PathPattern) {
                 props: rho.props.clone(),
             });
         }
+        ctx.place_filters();
     }
 
     emit_path_bind(ctx, pat, &node_cols, &rel_cols);
@@ -653,6 +758,313 @@ fn emit_path_bind(
         elements,
     });
     ctx.bind(path_name);
+}
+
+// ---------------------------------------------------------------------------
+// WHERE pushdown
+// ---------------------------------------------------------------------------
+
+/// A clause's `WHERE`, prepared for planning.
+struct PreparedWhere<'p> {
+    /// The patterns, with label tests and constant equalities folded into
+    /// their node patterns (borrowed when nothing folded).
+    patterns: Cow<'p, [PathPattern]>,
+    /// Conjuncts to place after the step that binds their variables.
+    filters: Vec<PendingFilter>,
+    /// Index of the last path whose steps may raise: pushed filters wait
+    /// until it is planned.
+    barrier: Option<usize>,
+    /// A `WHERE` that stays whole, applied after the last step.
+    whole: Option<Expr>,
+    /// Parameters the moved and folded conjuncts read.
+    params: Vec<String>,
+}
+
+impl<'p> PreparedWhere<'p> {
+    fn whole(patterns: &'p [PathPattern], where_: Option<&Expr>) -> Self {
+        PreparedWhere {
+            patterns: Cow::Borrowed(patterns),
+            filters: Vec::new(),
+            barrier: None,
+            whole: where_.cloned(),
+            params: Vec::new(),
+        }
+    }
+}
+
+/// What a name denotes inside one `MATCH` pattern.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum VarKind {
+    /// Bound by this pattern to a node, at every occurrence.
+    Node,
+    /// Bound by this pattern to one relationship, at every occurrence.
+    Rel,
+    /// Anything else: a driving column, a path, a relationship list, or a
+    /// name used in two roles. `WHERE` reads of it may raise.
+    Other,
+}
+
+fn var_kinds(patterns: &[PathPattern], driving: &[String]) -> Vec<(String, VarKind)> {
+    let mut kinds: Vec<(String, VarKind)> = Vec::new();
+    let mut note = |name: &str, kind: VarKind| {
+        let kind = if driving.iter().any(|d| d == name) {
+            VarKind::Other
+        } else {
+            kind
+        };
+        match kinds.iter_mut().find(|(n, _)| n == name) {
+            Some((_, k)) if *k != kind => *k = VarKind::Other,
+            Some(_) => {}
+            None => kinds.push((name.to_string(), kind)),
+        }
+    };
+    for pat in patterns {
+        if let Some(p) = &pat.name {
+            note(p, VarKind::Other);
+        }
+        for chi in pat.node_patterns() {
+            if let Some(n) = &chi.name {
+                note(n, VarKind::Node);
+            }
+        }
+        for rho in pat.rel_patterns() {
+            if let Some(n) = &rho.name {
+                let kind = if rho.range.is_single() {
+                    VarKind::Rel
+                } else {
+                    VarKind::Other
+                };
+                note(n, kind);
+            }
+        }
+    }
+    kinds
+}
+
+fn kind_of(kinds: &[(String, VarKind)], name: &str) -> VarKind {
+    kinds
+        .iter()
+        .find(|(n, _)| n == name)
+        .map(|(_, k)| *k)
+        .unwrap_or(VarKind::Other)
+}
+
+/// True when a path's own steps may raise, given the rows reaching them:
+/// it reads a driving column (whose value may be no node at all) or has a
+/// property map entry that is not a literal or parameter.
+fn path_may_raise(pat: &PathPattern, driving: &[String]) -> bool {
+    let computed = |props: &[(String, Expr)]| {
+        props
+            .iter()
+            .any(|(_, e)| !matches!(e, Expr::Lit(_) | Expr::Param(_)))
+    };
+    pat.free_vars().iter().any(|v| driving.contains(v))
+        || pat.node_patterns().any(|chi| computed(&chi.props))
+        || pat.rel_patterns().any(|rho| computed(&rho.props))
+}
+
+/// Collects the conjuncts of a top-level `AND` chain, in order.
+fn conjuncts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+    match e {
+        Expr::And(a, b) => {
+            conjuncts(a, out);
+            conjuncts(b, out);
+        }
+        other => out.push(other),
+    }
+}
+
+/// Reads of a cannot-raise predicate: the variables and parameters it
+/// touches.
+#[derive(Default)]
+struct Reads {
+    vars: Vec<String>,
+    params: Vec<String>,
+}
+
+fn push_unique(list: &mut Vec<String>, name: &str) {
+    if !list.iter().any(|x| x == name) {
+        list.push(name.to_string());
+    }
+}
+
+/// An operand that cannot raise: a literal, a (bound) parameter, or a
+/// property read `v.k` of a node or single relationship this pattern binds.
+fn safe_operand(e: &Expr, kinds: &[(String, VarKind)], reads: &mut Reads) -> bool {
+    match e {
+        Expr::Lit(_) => true,
+        Expr::Param(p) => {
+            push_unique(&mut reads.params, p);
+            true
+        }
+        Expr::Prop(base, _) => match &**base {
+            Expr::Var(v) if kind_of(kinds, v) != VarKind::Other => {
+                push_unique(&mut reads.vars, v);
+                true
+            }
+            _ => false,
+        },
+        _ => false,
+    }
+}
+
+/// A predicate that cannot raise: a comparison of safe operands,
+/// `IS [NOT] NULL` of one, a label test on a pattern node, a boolean or
+/// null literal, or `AND`/`OR`/`XOR`/`NOT` over such terms. (Comparisons
+/// are total over values — incomparable pairs are `null` — and every other
+/// `truth_of` input here is a boolean or null.)
+fn safe_predicate(e: &Expr, kinds: &[(String, VarKind)], reads: &mut Reads) -> bool {
+    match e {
+        Expr::Cmp(_, a, b) => safe_operand(a, kinds, reads) && safe_operand(b, kinds, reads),
+        Expr::IsNull(a) | Expr::IsNotNull(a) => safe_operand(a, kinds, reads),
+        Expr::HasLabels(base, _) => match &**base {
+            Expr::Var(v) if kind_of(kinds, v) == VarKind::Node => {
+                push_unique(&mut reads.vars, v);
+                true
+            }
+            _ => false,
+        },
+        Expr::Lit(Literal::Bool(_) | Literal::Null) => true,
+        Expr::And(a, b) | Expr::Or(a, b) | Expr::Xor(a, b) => {
+            safe_predicate(a, kinds, reads) && safe_predicate(b, kinds, reads)
+        }
+        Expr::Not(a) => safe_predicate(a, kinds, reads),
+        _ => false,
+    }
+}
+
+/// What `v:L…` or `v.k = c` (either side, `c` a non-null literal or a
+/// parameter) adds to `v`'s node pattern: these conjuncts mean the same
+/// as an inline `(v:L {k: c})`.
+enum Fold<'e> {
+    Labels(&'e [String]),
+    Prop(&'e str, &'e Expr),
+}
+
+/// The variable a conjunct folds into, and what it adds.
+fn as_fold(e: &Expr) -> Option<(&str, Fold<'_>)> {
+    let constant =
+        |c: &Expr| matches!(c, Expr::Param(_)) || matches!(c, Expr::Lit(l) if *l != Literal::Null);
+    match e {
+        Expr::HasLabels(base, labels) => match &**base {
+            Expr::Var(v) => Some((v, Fold::Labels(labels))),
+            _ => None,
+        },
+        Expr::Cmp(CmpOp::Eq, a, b) => {
+            let (prop, c) = match (&**a, &**b) {
+                (Expr::Prop(..), c) if constant(c) => (&**a, c),
+                (c, Expr::Prop(..)) if constant(c) => (&**b, c),
+                _ => return None,
+            };
+            match prop {
+                Expr::Prop(base, key) => match &**base {
+                    Expr::Var(v) => Some((v, Fold::Prop(key, c))),
+                    _ => None,
+                },
+                _ => None,
+            }
+        }
+        _ => None,
+    }
+}
+
+/// Prepares a clause's `WHERE` for planning.
+///
+/// A conjunct may move only if it **cannot raise** ([`safe_predicate`]):
+/// the reference evaluator applies `WHERE` to complete matches, so moving
+/// a conjunct that can raise — or that sits behind another conjunct's
+/// three-valued `AND` short-circuit — could raise where the reference does
+/// not. If any conjunct could raise, the whole `WHERE` stays one filter
+/// after the last step, exactly as the reference evaluates it. Since a
+/// filter only drops rows and keeps their order, moving cannot-raise
+/// conjuncts changes neither the result sequence nor any error — provided
+/// every step that *may* raise still sees all of its rows: conjuncts wait
+/// until the last path reading a driving column (or a computed property)
+/// is planned, and only node patterns after that path take folds.
+///
+/// Label tests and constant equalities on a pattern node fold into the
+/// node's first occurrence (an inline map or label means the same as the
+/// `WHERE` term), where they feed the anchor choice and seek selection.
+fn prepare_where<'p>(
+    patterns: &'p [PathPattern],
+    driving: &[String],
+    where_: Option<&Expr>,
+) -> PreparedWhere<'p> {
+    let Some(pred) = where_ else {
+        return PreparedWhere::whole(patterns, None);
+    };
+    let kinds = var_kinds(patterns, driving);
+    let mut terms = Vec::new();
+    conjuncts(pred, &mut terms);
+    let mut reads = Vec::with_capacity(terms.len());
+    for t in &terms {
+        let mut r = Reads::default();
+        if !safe_predicate(t, &kinds, &mut r) {
+            return PreparedWhere::whole(patterns, where_);
+        }
+        reads.push(r);
+    }
+
+    let barrier = patterns
+        .iter()
+        .rposition(|pat| path_may_raise(pat, driving));
+    let mut folded: Cow<'p, [PathPattern]> = Cow::Borrowed(patterns);
+    let mut filters = Vec::new();
+    let mut params: Vec<String> = Vec::new();
+    for (t, r) in terms.into_iter().zip(reads) {
+        for p in &r.params {
+            push_unique(&mut params, p);
+        }
+        let target = as_fold(t)
+            .filter(|(v, _)| kind_of(&kinds, v) == VarKind::Node)
+            .and_then(|(v, fold)| {
+                let path = patterns
+                    .iter()
+                    .position(|pat| pat.node_patterns().any(|c| c.name.as_deref() == Some(v)))?;
+                barrier.is_none_or(|b| path > b).then_some((v, fold, path))
+            });
+        match target {
+            Some((v, fold, path)) => {
+                let pat = &mut folded.to_mut()[path];
+                let chi = std::iter::once(&mut pat.start)
+                    .chain(pat.steps.iter_mut().map(|(_, n)| n))
+                    .find(|c| c.name.as_deref() == Some(v))
+                    .expect("fold target occurs in its path");
+                match fold {
+                    Fold::Labels(labels) => {
+                        for l in labels {
+                            push_unique(&mut chi.labels, l);
+                        }
+                    }
+                    Fold::Prop(key, c) => chi.props.push((key.to_string(), c.clone())),
+                }
+            }
+            None => filters.push(PendingFilter {
+                pred: t.clone(),
+                vars: r.vars,
+            }),
+        }
+    }
+    // Inline `{k: $p}` entries raise per row when `$p` is unbound, so rows
+    // dropped early would hide that error too.
+    for pat in patterns {
+        let props = pat
+            .node_patterns()
+            .flat_map(|c| &c.props)
+            .chain(pat.rel_patterns().flat_map(|r| &r.props));
+        for (_, e) in props {
+            if let Expr::Param(p) = e {
+                push_unique(&mut params, p);
+            }
+        }
+    }
+    PreparedWhere {
+        patterns: folded,
+        filters,
+        barrier,
+        whole: None,
+        params,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -973,6 +1385,7 @@ fn plan_wco(ctx: &mut PlanCtx<'_>, vertices: &[WcoVertex<'_>], edges: &[WcoEdge<
                     });
                 }
             }
+            ctx.place_filters();
         }
         vbound[v] = true;
         close_bound_edges(ctx, vertices, edges, &vbound, &mut done, &degree, &mut agm);
@@ -1056,7 +1469,7 @@ mod tests {
     fn anchors_on_most_selective_label() {
         let g = sample_graph();
         let p = parse_pattern("(a:Person)-[:KNOWS]->(b:Admin)").unwrap();
-        let planned = plan_match(&g, &[], &[p], PlannerMode::ExpandBased);
+        let planned = plan_match(&g, &[], &[p], None, PlannerMode::ExpandBased);
         // The Admin side has 3 nodes vs 100 Person: anchor must be b.
         match &planned.plan.steps[0] {
             PlanStep::NodeIndexScan { var, label } => {
@@ -1079,7 +1492,7 @@ mod tests {
     fn bound_variable_becomes_argument() {
         let g = sample_graph();
         let p = parse_pattern("(a)-[:KNOWS]->(b)").unwrap();
-        let planned = plan_match(&g, &["a".to_string()], &[p], PlannerMode::ExpandBased);
+        let planned = plan_match(&g, &["a".to_string()], &[p], None, PlannerMode::ExpandBased);
         assert!(matches!(
             &planned.plan.steps[0],
             PlanStep::Argument { var } if var == "a"
@@ -1091,7 +1504,7 @@ mod tests {
     fn anonymous_elements_get_hidden_columns() {
         let g = sample_graph();
         let p = parse_pattern("()-[:KNOWS]->()").unwrap();
-        let planned = plan_match(&g, &[], &[p], PlannerMode::ExpandBased);
+        let planned = plan_match(&g, &[], &[p], None, PlannerMode::ExpandBased);
         assert!(planned.new_vars.is_empty());
         let PlanStep::Expand { rel, .. } = &planned.plan.steps[1] else {
             panic!("expected expand")
@@ -1103,7 +1516,7 @@ mod tests {
     fn cartesian_mode_uses_rel_scans() {
         let g = sample_graph();
         let p = parse_pattern("(a:Admin)-[r:KNOWS]->(b)").unwrap();
-        let planned = plan_match(&g, &[], &[p], PlannerMode::CartesianJoin);
+        let planned = plan_match(&g, &[], &[p], None, PlannerMode::CartesianJoin);
         assert!(planned
             .plan
             .steps
@@ -1125,7 +1538,7 @@ mod tests {
     fn cartesian_mode_falls_back_for_var_length() {
         let g = sample_graph();
         let p = parse_pattern("(a)-[:KNOWS*1..3]->(b)").unwrap();
-        let planned = plan_match(&g, &[], &[p], PlannerMode::CartesianJoin);
+        let planned = plan_match(&g, &[], &[p], None, PlannerMode::CartesianJoin);
         assert!(planned
             .plan
             .steps
@@ -1137,7 +1550,7 @@ mod tests {
     fn exclusion_lists_grow_along_the_chain() {
         let g = sample_graph();
         let p = parse_pattern("(a)-[r1]->(b)-[r2]->(c)").unwrap();
-        let planned = plan_match(&g, &[], &[p], PlannerMode::ExpandBased);
+        let planned = plan_match(&g, &[], &[p], None, PlannerMode::ExpandBased);
         let expands: Vec<&PlanStep> = planned
             .plan
             .steps
@@ -1155,7 +1568,7 @@ mod tests {
     fn constant_property_uses_index_scan() {
         let g = sample_graph();
         let p = parse_pattern("(a:Person {i: 5})-[:KNOWS]->(b)").unwrap();
-        let planned = plan_match(&g, &[], &[p], PlannerMode::ExpandBased);
+        let planned = plan_match(&g, &[], &[p], None, PlannerMode::ExpandBased);
         match &planned.plan.steps[0] {
             PlanStep::PropertyIndexSeek {
                 var, label, key, ..
@@ -1180,7 +1593,7 @@ mod tests {
         // Anchor must move to b: {i: 7} pins a single node even though
         // Admin is a small label on the other side.
         let p = parse_pattern("(a:Admin)-[:KNOWS]->(b {i: 7})").unwrap();
-        let planned = plan_match(&g, &[], &[p], PlannerMode::ExpandBased);
+        let planned = plan_match(&g, &[], &[p], None, PlannerMode::ExpandBased);
         assert!(
             matches!(&planned.plan.steps[0], PlanStep::PropertyIndexSeek { var, .. } if var == "b"),
             "plan: {}",
@@ -1201,7 +1614,7 @@ mod tests {
             );
         }
         let p = parse_pattern("(d:Device {kind: 1, serial: 37})").unwrap();
-        let planned = plan_match(&g, &[], &[p], PlannerMode::ExpandBased);
+        let planned = plan_match(&g, &[], &[p], None, PlannerMode::ExpandBased);
         match &planned.plan.steps[0] {
             PlanStep::PropertyIndexSeek { key, label, .. } => {
                 assert_eq!(key, "serial");
@@ -1220,7 +1633,7 @@ mod tests {
             use_property_index: false,
             ..PlannerOptions::default()
         };
-        let planned = plan_match(&g, &[], &[p], opts);
+        let planned = plan_match(&g, &[], &[p], None, opts);
         assert!(
             matches!(&planned.plan.steps[0], PlanStep::NodeIndexScan { .. }),
             "plan: {}",
@@ -1243,7 +1656,7 @@ mod tests {
             use_property_index: false,
             ..PlannerOptions::default()
         };
-        let planned = plan_match(&g, &[], &[p], opts);
+        let planned = plan_match(&g, &[], &[p], None, opts);
         assert!(
             matches!(&planned.plan.steps[0], PlanStep::AllNodesScan { .. }),
             "plan: {}",
@@ -1286,7 +1699,7 @@ mod tests {
             wco_join: WcoJoinMode::Force,
             ..PlannerOptions::default()
         };
-        let planned = plan_match(&g, &[], &triangle(), opts);
+        let planned = plan_match(&g, &[], &triangle(), None, opts);
         let isect: Vec<&PlanStep> = planned
             .plan
             .steps
@@ -1314,7 +1727,7 @@ mod tests {
             wco_join: WcoJoinMode::Off,
             ..PlannerOptions::default()
         };
-        let planned = plan_match(&g, &[], &triangle(), opts);
+        let planned = plan_match(&g, &[], &triangle(), None, opts);
         assert!(!planned
             .plan
             .steps
@@ -1326,7 +1739,13 @@ mod tests {
     fn auto_intersects_on_dense_graphs_and_chains_on_sparse() {
         // Dense (avg degree 10): the chain's intermediate result dwarfs
         // the intersection's, so Auto flips to the intersect plan.
-        let planned = plan_match(&dense_graph(), &[], &triangle(), PlannerOptions::default());
+        let planned = plan_match(
+            &dense_graph(),
+            &[],
+            &triangle(),
+            None,
+            PlannerOptions::default(),
+        );
         assert!(
             planned
                 .plan
@@ -1338,7 +1757,13 @@ mod tests {
         );
         // Sparse (a chain, avg degree ≈ 1): estimates tie at the anchor
         // scan, and ties keep the expand chain.
-        let planned = plan_match(&sample_graph(), &[], &triangle(), PlannerOptions::default());
+        let planned = plan_match(
+            &sample_graph(),
+            &[],
+            &triangle(),
+            None,
+            PlannerOptions::default(),
+        );
         assert!(
             !planned
                 .plan
@@ -1358,7 +1783,7 @@ mod tests {
             ..PlannerOptions::default()
         };
         let no_isect = |pats: Vec<PathPattern>| {
-            let planned = plan_match(&g, &[], &pats, opts);
+            let planned = plan_match(&g, &[], &pats, None, opts);
             assert!(
                 !planned
                     .plan
@@ -1400,7 +1825,7 @@ mod tests {
             ..PlannerOptions::default()
         };
         let p = parse_pattern("(a)-[r1:KNOWS]->(b)<-[r2:KNOWS]-(a)").unwrap();
-        let planned = plan_match(&g, &[], &[p], opts);
+        let planned = plan_match(&g, &[], &[p], None, opts);
         let Some(PlanStep::MultiwayIntersect { to, guards, .. }) = planned
             .plan
             .steps
@@ -1420,12 +1845,201 @@ mod tests {
     fn named_path_emits_path_bind() {
         let g = sample_graph();
         let p = parse_pattern("p = (a)-[:KNOWS*]->(b)").unwrap();
-        let planned = plan_match(&g, &[], &[p], PlannerMode::ExpandBased);
+        let planned = plan_match(&g, &[], &[p], None, PlannerMode::ExpandBased);
         assert!(planned
             .plan
             .steps
             .iter()
             .any(|s| matches!(s, PlanStep::PathBind { var, .. } if var == "p")));
         assert!(planned.new_vars.contains(&"p".to_string()));
+    }
+
+    // -- WHERE pushdown ----------------------------------------------------
+
+    fn where_(src: &str) -> Expr {
+        cypher_parser::parse_expression(src).unwrap()
+    }
+
+    fn two_hop() -> PathPattern {
+        parse_pattern("(a:N)-[:KNOWS]->(b)-[:KNOWS]->(c)").unwrap()
+    }
+
+    #[test]
+    fn two_hop_filter_sits_right_after_the_anchor_scan() {
+        let g = dense_graph();
+        let pred = where_("a.i < 20");
+        let planned = plan_match(
+            &g,
+            &[],
+            &[two_hop()],
+            Some(&pred),
+            PlannerOptions::default(),
+        );
+        let steps = &planned.plan.steps;
+        assert!(
+            matches!(&steps[0], PlanStep::NodeIndexScan { var, .. } if var == "a"),
+            "plan: {}",
+            planned.plan
+        );
+        assert_eq!(
+            steps[1],
+            PlanStep::FilterExpr { pred },
+            "plan: {}",
+            planned.plan
+        );
+        assert_eq!(steps.len(), 4, "no trailing filter: {}", planned.plan);
+        // The filter's estimate is the scan's times the default
+        // selectivity, and the expansions inherit it.
+        let est = &planned.plan.step_estimates;
+        assert_eq!(est[1], est[0] * DEFAULT_SELECTIVITY);
+        assert_eq!(planned.plan.estimated_rows, 1000.0);
+    }
+
+    #[test]
+    fn triangle_keeps_intersection_with_the_filter_before_the_first_expand() {
+        let g = dense_graph();
+        let pred = where_("a.i < 50");
+        for wco_join in [WcoJoinMode::Auto, WcoJoinMode::Force] {
+            let opts = PlannerOptions {
+                wco_join,
+                ..PlannerOptions::default()
+            };
+            let planned = plan_match(&g, &[], &triangle(), Some(&pred), opts);
+            let steps = &planned.plan.steps;
+            let filter = steps
+                .iter()
+                .position(|s| matches!(s, PlanStep::FilterExpr { .. }))
+                .expect("filter planned");
+            let expand = steps
+                .iter()
+                .position(|s| matches!(s, PlanStep::Expand { .. }))
+                .expect("expand planned");
+            assert!(
+                steps
+                    .iter()
+                    .any(|s| matches!(s, PlanStep::MultiwayIntersect { .. })),
+                "{wco_join:?}: {}",
+                planned.plan
+            );
+            assert_eq!(filter, 1, "{wco_join:?}: {}", planned.plan);
+            assert!(filter < expand, "{wco_join:?}: {}", planned.plan);
+        }
+    }
+
+    #[test]
+    fn where_equality_on_a_parameter_plans_a_seek() {
+        let g = sample_graph();
+        let p = parse_pattern("(n:Person)-[:KNOWS]->(m)").unwrap();
+        let pred = where_("n.i = $p");
+        let planned = plan_match(&g, &[], &[p], Some(&pred), PlannerOptions::default());
+        match &planned.plan.steps[0] {
+            PlanStep::PropertyIndexSeek {
+                var,
+                label,
+                key,
+                value,
+            } => {
+                assert_eq!((var.as_str(), key.as_str()), ("n", "i"));
+                assert_eq!(label.as_deref(), Some("Person"));
+                assert_eq!(value, &Expr::Param("p".into()));
+            }
+            other => panic!("expected a seek, got {other}"),
+        }
+        // The folded equality is re-checked like an inline map, and no
+        // WHERE filter is left over.
+        assert!(matches!(&planned.plan.steps[1], PlanStep::FilterProps { var, .. } if var == "n"));
+        assert!(!planned
+            .plan
+            .steps
+            .iter()
+            .any(|s| matches!(s, PlanStep::FilterExpr { .. })));
+        assert_eq!(planned.where_params, vec!["p".to_string()]);
+    }
+
+    #[test]
+    fn where_label_test_can_anchor_a_label_scan() {
+        let g = sample_graph();
+        let p = parse_pattern("(a:Person)-[:KNOWS]->(b)").unwrap();
+        let pred = where_("b:Admin");
+        let planned = plan_match(&g, &[], &[p], Some(&pred), PlannerOptions::default());
+        assert!(
+            matches!(&planned.plan.steps[0], PlanStep::NodeIndexScan { var, label } if var == "b" && label == "Admin"),
+            "plan: {}",
+            planned.plan
+        );
+    }
+
+    #[test]
+    fn a_conjunct_that_may_raise_keeps_the_where_whole_and_last() {
+        let g = dense_graph();
+        let pred = where_("a.i < 20 AND a.i + 1 > 0");
+        let planned = plan_match(
+            &g,
+            &[],
+            &[two_hop()],
+            Some(&pred),
+            PlannerOptions::default(),
+        );
+        assert_eq!(
+            planned.plan.steps.last(),
+            Some(&PlanStep::FilterExpr { pred }),
+            "plan: {}",
+            planned.plan
+        );
+        assert_eq!(planned.plan.steps.len(), 4);
+        assert!(planned.where_params.is_empty());
+    }
+
+    #[test]
+    fn where_less_clauses_plan_exactly_as_before() {
+        // Pinned from the planner before WHERE pushdown existed.
+        let g = dense_graph();
+        let cases: [(&[&str], WcoJoinMode, &str); 4] = [
+            (
+                &["(a:N)-[:KNOWS]->(b)-[:KNOWS]->(c)"],
+                WcoJoinMode::Auto,
+                "NodeIndexScan(a:N)  (est rows: 100.0)\n \
+                 Expand(a)->[ anon0:KNOWS](b)  (est rows: 1000.0)\n  \
+                 Expand(b)->[ anon1:KNOWS](c)  (est rows: 10000.0)\n\
+                 (estimated rows: 10000.0)",
+            ),
+            (
+                &["(a)-[r1:KNOWS]->(b)-[r2:KNOWS]->(c)", "(a)-[r3:KNOWS]->(c)"],
+                WcoJoinMode::Auto,
+                "AllNodesScan(a)  (est rows: 100.0)\n \
+                 Expand(a)->[r1:KNOWS](b)  (est rows: 1000.0)\n  \
+                 MultiwayIntersect((b)-[r2:KNOWS]-> & (a)-[r3:KNOWS]-> (c))  (est rows: 1000.0)\n\
+                 (estimated rows: 1000.0)",
+            ),
+            (
+                &["(a)-[r1:KNOWS]->(b)-[r2:KNOWS]->(c)", "(a)-[r3:KNOWS]->(c)"],
+                WcoJoinMode::Off,
+                "AllNodesScan(a)  (est rows: 100.0)\n \
+                 Expand(a)->[r1:KNOWS](b)  (est rows: 1000.0)\n  \
+                 Expand(b)->[r2:KNOWS](c)  (est rows: 10000.0)\n   \
+                 Argument(a)  (est rows: 10000.0)\n    \
+                 Expand(a)->[r3:KNOWS](c)  (est rows: 100000.0)\n\
+                 (estimated rows: 100000.0)",
+            ),
+            (
+                &["(a:N {i: 5})-[:KNOWS*1..2]->(b)", "(c)"],
+                WcoJoinMode::Auto,
+                "PropertyIndexSeek(a:N.i = 5)  (est rows: 1.0)\n \
+                 Filter(a.{i})  (est rows: 1.0)\n  \
+                 Expand(a)->[ anon0:KNOWS*1..2](b)  (est rows: 10.0)\n   \
+                 AllNodesScan(c)  (est rows: 1000.0)\n\
+                 (estimated rows: 1000.0)",
+            ),
+        ];
+        for (pats, wco_join, want) in cases {
+            let ps: Vec<PathPattern> = pats.iter().map(|p| parse_pattern(p).unwrap()).collect();
+            let opts = PlannerOptions {
+                wco_join,
+                ..PlannerOptions::default()
+            };
+            let planned = plan_match(&g, &["z".to_string()], &ps, None, opts);
+            assert_eq!(planned.plan.to_string(), want, "{pats:?} {wco_join:?}");
+            assert!(planned.where_params.is_empty());
+        }
     }
 }

@@ -33,10 +33,12 @@
 //! canonical (scheduling-independent) error.
 
 use crate::exec::{EngineConfig, PartialAggMode};
-use crate::ops::{build_prepared, parallel_morsels, prepare_sources, ExecMetrics, PreparedSource};
+use crate::ops::{
+    build_prepared, parallel_morsels, prepare_sources, record_run, ExecMetrics, Operator,
+    PreparedSource,
+};
 use crate::plan::PlanStep;
 use crate::planner::PlannedMatch;
-use cypher_ast::expr::Expr;
 use cypher_ast::query::Return;
 use cypher_core::clauses::{apply_order_by_scoped, eval_count};
 use cypher_core::error::EvalError;
@@ -133,6 +135,24 @@ impl FusedSpec<'_> {
         }
     }
 
+    /// Folds every row `op` produces into `state`; returns the row count.
+    fn drain(
+        &self,
+        state: &mut FoldState,
+        ctx: &EvalContext<'_>,
+        schema: &Schema,
+        op: &mut dyn Operator,
+    ) -> Result<usize, EvalError> {
+        let mut rows = 0;
+        while let Some(batch) = op.next_batch()? {
+            rows += batch.len();
+            for row in batch.rows() {
+                self.feed(state, ctx, schema, row)?;
+            }
+        }
+        Ok(rows)
+    }
+
     /// Merges the per-morsel states in order and applies the tail of the
     /// projection (`DISTINCT` over groups, `ORDER BY`, `SKIP`/`LIMIT`).
     fn finalize(
@@ -193,24 +213,20 @@ impl FusedSpec<'_> {
 }
 
 /// Attempts to run `MATCH … [WHERE …] RETURN <qualifying projection>` as
-/// one fused pipeline. On any internal error the original driving table
-/// is handed back and the caller re-runs the classic path, which surfaces
-/// the canonical error.
+/// one fused pipeline (the planned match holds the `WHERE`). On any
+/// internal error the original driving table is handed back and the
+/// caller re-runs the classic path, which surfaces the canonical error.
 pub(crate) fn try_fused_match_projection(
     ctx: &EvalContext<'_>,
     cfg: &EngineConfig,
     planned: &PlannedMatch,
-    where_: Option<&Expr>,
     ret: &Return,
     table: Table,
 ) -> FusedOutcome {
     let Some(kind) = ret_pushdown(ret) else {
         return FusedOutcome::Skipped(table);
     };
-    let mut steps = planned.plan.steps.clone();
-    if let Some(p) = where_ {
-        steps.push(PlanStep::FilterExpr { pred: p.clone() });
-    }
+    let steps = &planned.plan.steps;
     // The schema visible to the projection: driving fields plus the new
     // match variables. (The pipeline's raw schema is a superset with
     // hidden columns; expressions resolve by name, so feeding raw rows is
@@ -243,7 +259,7 @@ pub(crate) fn try_fused_match_projection(
 
     let morsel = cfg.morsel_size.max(1);
     let threads = cfg.num_threads.max(1);
-    let prepared = match prepare_sources(ctx, &steps) {
+    let prepared = match prepare_sources(ctx, steps) {
         Ok(p) => p,
         Err(_) => return FusedOutcome::Skipped(table),
     };
@@ -282,7 +298,7 @@ pub(crate) fn try_fused_match_projection(
     match run_sequential_fused(
         ctx,
         &spec,
-        &steps,
+        steps,
         &prepared,
         table.clone(),
         morsel,
@@ -305,13 +321,11 @@ fn run_sequential_fused<'a>(
     let mut op = build_prepared(ctx, steps, prepared, input, morsel, metrics)?;
     let raw_schema = op.schema().clone();
     let mut state = spec.new_state();
-    while let Some(batch) = op.next_batch()? {
-        for row in batch.rows() {
-            spec.feed(&mut state, ctx, &raw_schema, row)?;
-        }
-    }
+    let rows = spec.drain(&mut state, ctx, &raw_schema, &mut *op)?;
     drop(op);
-    spec.finalize(vec![state], ctx, &raw_schema)
+    let out = spec.finalize(vec![state], ctx, &raw_schema)?;
+    record_run(metrics, 1, rows, false);
+    Ok(out)
 }
 
 /// The parallel fold: one partial state per morsel, merged in morsel
@@ -360,18 +374,16 @@ fn run_parallel_fused<'a>(
             }
         }
         let mut state = spec.new_state();
-        while let Some(batch) = op.next_batch()? {
-            for row in batch.rows() {
-                spec.feed(&mut state, ctx, &raw_schema, row)?;
-            }
-        }
-        Ok(state)
+        let rows = spec.drain(&mut state, ctx, &raw_schema, &mut *op)?;
+        Ok((state, rows))
     })?;
 
-    let states: Vec<FoldState> = slots.into_iter().flatten().collect();
+    let (states, rows): (Vec<FoldState>, Vec<usize>) = slots.into_iter().flatten().unzip();
     let raw_schema = schema_slot
         .into_inner()
         .unwrap()
         .expect("at least one morsel ran");
-    spec.finalize(states, ctx, &raw_schema)
+    let out = spec.finalize(states, ctx, &raw_schema)?;
+    record_run(metrics, n_morsels, rows.iter().sum(), true);
+    Ok(out)
 }
